@@ -1,0 +1,9 @@
+"""Put the benchmark modules and the package sources on the import path."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "perfbench", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
