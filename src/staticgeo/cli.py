@@ -30,7 +30,12 @@ from . import static_verifier as sv
 from .catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
 from .errors import BlowUp, StaticGeoError
 from .ode_solver import WarpingODEParams, find_periodic, first_integral, integrate_warping
-from .warped_geometry import DEFAULT_GRID_POINTS, load_problem, validate_spec
+from .warped_geometry import (
+    DEFAULT_GRID_POINTS,
+    GRID_MARGIN_STEPS,
+    load_problem,
+    validate_spec,
+)
 
 __all__ = ["main"]
 
@@ -191,8 +196,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _report_columns(spec, lapse):
-    lo, hi = spec.domain
-    s = np.linspace(lo + 2 * spec.step, hi - 2 * spec.step, spec.grid_points)
+    margin = GRID_MARGIN_STEPS * spec.step
+    s = np.linspace(spec.domain[0] + margin, spec.domain[1] - margin, spec.grid_points)
     B = len(spec.blocks)
     r = ce.ricci_spectrum(spec, s)
     xi = ce.xi_profile(spec, s)

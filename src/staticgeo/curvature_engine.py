@@ -39,7 +39,7 @@ from .errors import (
     OutOfDomain,
 )
 from .jets import derivatives_from_jet, jconst, jder, jdiv, jet_of, jmul
-from .warped_geometry import LapseFunction, WarpedProductSpec
+from .warped_geometry import GRID_MARGIN_STEPS, LapseFunction, WarpedProductSpec
 
 __all__ = [
     "RicciSpectrum",
@@ -114,8 +114,8 @@ def _require_order(fn, order: int, what: str) -> None:
 
 def _check_domain(spec: WarpedProductSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    lo = spec.domain[0] + 2 * spec.step
-    hi = spec.domain[1] - 2 * spec.step
+    lo = spec.domain[0] + GRID_MARGIN_STEPS * spec.step
+    hi = spec.domain[1] - GRID_MARGIN_STEPS * spec.step
     slack = 1e-9 * spec.step
     if np.any(s < lo - slack) or np.any(s > hi + slack):
         raise OutOfDomain(

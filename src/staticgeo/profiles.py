@@ -3,9 +3,10 @@
 A profile is a function of the arc-length coordinate s that can report
 its derivatives up to some maximum order.  Analytic profiles differentiate
 in closed form; sampled profiles differentiate through finite-difference
-stencils (5-point for orders 1-2, 7-point for orders 3-4); integrated
-profiles get their higher derivatives from the differential equation that
-defines them (see ode_solver).
+stencils (5-point for orders 1-2, 7-point for orders 3-4), gathered for
+all query points at once and weighted by one broadcast Fornberg
+recursion; integrated profiles get their higher derivatives from the
+differential equation that defines them (see ode_solver).
 
 All evaluation methods accept scalars or numpy arrays and broadcast.
 """
@@ -115,34 +116,39 @@ class HyperbolicProfile(Profile):
         return scale * (self.a_sinh * np.cosh(x) + self.a_cosh * np.sinh(x))
 
 
-def fd_weights(nodes: np.ndarray, x0: float, max_order: int) -> np.ndarray:
+def fd_weights(nodes: np.ndarray, x0: float | np.ndarray, max_order: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
     Returns an array W of shape (len(nodes), max_order + 1) such that
     sum_i W[i, m] * f(nodes[i]) approximates the m-th derivative of f at
-    x0, exactly for polynomials up to degree len(nodes) - 1.
+    x0, exactly for polynomials up to degree len(nodes) - 1.  Broadcasts:
+    nodes (..., n) and x0 (...) give W (..., n, max_order + 1).
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = np.zeros((n, max_order + 1))
+    n = nodes.shape[-1]
+    batch = np.broadcast_shapes(nodes.shape[:-1], np.shape(x0))
+    nodes = np.broadcast_to(nodes, batch + (n,))
+    w = np.zeros(nodes.shape + (max_order + 1,))
     c1 = 1.0
-    c4 = nodes[0] - x0
-    w[0, 0] = 1.0
+    c4 = nodes[..., 0] - x0
+    w[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for m in range(mn, 0, -1):
-                    w[i, m] = c1 * (m * w[i - 1, m - 1] - c5 * w[i - 1, m]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+                    w[..., i, m] = (
+                        c1 * (m * w[..., i - 1, m - 1] - c5 * w[..., i - 1, m]) / c2
+                    )
+                w[..., i, 0] = -c1 * c5 * w[..., i - 1, 0] / c2
             for m in range(mn, 0, -1):
-                w[j, m] = (c4 * w[j, m] - m * w[j, m - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
+                w[..., j, m] = (c4 * w[..., j, m] - m * w[..., j, m - 1]) / c3
+            w[..., j, 0] = c4 * w[..., j, 0] / c3
         c1 = c2
     return w
 
@@ -158,7 +164,8 @@ class SampledProfile(Profile):
     Evaluation is restricted to the interior where a centered stencil
     fits: two sample steps on each side for orders up to 2, three for
     orders 3 and 4.  Off-node queries use the same stencil with weights
-    recomputed for the query point (local polynomial interpolation).
+    recomputed for the query point (local polynomial interpolation).  All
+    queries of one call are evaluated in one batched stencil gather.
     """
 
     max_order = 4
@@ -197,15 +204,13 @@ class SampledProfile(Profile):
                 f"(order-{order} stencil needs {_MARGIN[order]} steps of margin)"
             )
         width = _STENCIL[order]
-        half = width // 2
-        flat = np.atleast_1d(s_arr).ravel()
-        out = np.empty_like(flat)
-        for idx, sv in enumerate(flat):
-            center = int(round((sv - self.s_start) / self.step))
-            start = min(max(center - half, 0), self.samples.size - width)
-            nodes = self.s_start + self.step * np.arange(start, start + width)
-            w = fd_weights(nodes, sv, order)
-            out[idx] = w[:, order] @ self.samples[start : start + width]
+        flat = s_arr.ravel()
+        center = np.rint((flat - self.s_start) / self.step).astype(int)
+        start = np.clip(center - width // 2, 0, self.samples.size - width)
+        idx = start[:, None] + np.arange(width)
+        w = fd_weights(self.s_start + self.step * idx, flat, order)[..., order]
+        # Each stacked (1, width) @ (width, 1) rounds like a single `w @ f`.
+        out = (w[:, None, :] @ self.samples[idx][:, :, None])[:, 0, 0]
         return out.reshape(s_arr.shape) if s_arr.shape else out[0]
 
 

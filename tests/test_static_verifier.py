@@ -341,6 +341,45 @@ class TestClassifyDetails:
 
 
 # ---------------------------------------------------------------------------
+# Classification: entries that arrive as samples
+
+
+def resampled(entry, num, grid=256):
+    """The entry's warpings and lapse sampled at num points over its domain.
+
+    The spec's domain is trimmed by three sample steps per side so that
+    the order-4 stencils fit.
+    """
+    lo, hi = entry.spec.domain
+    s = np.linspace(lo, hi, num)
+    ds = float(s[1] - s[0])
+
+    def samples(fn):
+        return np.broadcast_to(fn.value(s), s.shape)
+
+    blocks = tuple(
+        FiberBlock(
+            b.dim, make_sampled_warping(lo, ds, samples(b.warping)), b.model, b.k
+        )
+        for b in entry.spec.blocks
+    )
+    lapse = make_lapse("sampled", (lo, ds, *samples(entry.lapse)))
+    return WarpedProductSpec(blocks, (lo + 3 * ds, hi - 3 * ds), grid), lapse
+
+
+class TestSampledEntries:
+    @pytest.mark.parametrize("num", [513, 1025])
+    @pytest.mark.parametrize("name", ["round_sphere", "example1"])
+    def test_resampled_entry_keeps_its_label(self, entry_by_name, name, num):
+        e = entry_by_name[name]
+        spec, lapse = resampled(e, num)
+        tier = tier_for(spec, lapse)
+        assert tier is ODE_BACKED
+        assert verify_pair(spec, lapse).max_sup() <= tier.residual
+        assert classify(spec, lapse).label == e.expected_label
+
+
+# ---------------------------------------------------------------------------
 # Classification: refusal branches
 
 

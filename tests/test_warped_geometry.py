@@ -132,6 +132,42 @@ class TestFdWeights:
             )
             c = poly.polyder(c)
 
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @pytest.mark.parametrize("max_order", [0, 2, 4])
+    def test_broadcast_equals_scalar_calls(self, n, max_order):
+        rng = np.random.default_rng(100 * n + max_order)
+        nodes = np.sort(rng.uniform(-1.0, 1.0, size=(4, 3, n)), axis=-1)
+        x0 = rng.uniform(-1.0, 1.0, size=(4, 3))
+        w = fd_weights(nodes, x0, max_order)
+        assert w.shape == (4, 3, n, max_order + 1)
+        for k in np.ndindex(4, 3):
+            np.testing.assert_array_equal(w[k], fd_weights(nodes[k], x0[k], max_order))
+
+    def test_shared_nodes_broadcast_against_query_points(self):
+        nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        x0 = np.array([-0.3, 0.0, 0.45])
+        w = fd_weights(nodes, x0, 3)
+        assert w.shape == (3, 5, 4)
+        for k, x in enumerate(x0):
+            np.testing.assert_array_equal(w[k], fd_weights(nodes, x, 3))
+
+    def test_scalar_query_keeps_stencil_shape(self):
+        w = fd_weights(np.linspace(0.0, 0.6, 7), 0.25, 4)
+        assert w.shape == (7, 5)
+
+
+def per_point_derivative(p, s, order):
+    """One stencil per query point, as an independent reference.
+
+    Returns the value and sum_i |w_i f_i|, the scale of its roundoff.
+    """
+    width = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}[order]
+    center = int(round((s - p.s_start) / p.step))
+    start = min(max(center - width // 2, 0), p.samples.size - width)
+    nodes = p.s_start + p.step * np.arange(start, start + width)
+    terms = fd_weights(nodes, s, order)[:, order] * p.samples[start : start + width]
+    return terms.sum(), np.abs(terms).sum()
+
 
 class TestSampledProfile:
     def make(self, fn, lo=0.0, hi=3.0, num=241):
@@ -162,6 +198,40 @@ class TestSampledProfile:
             p.derivative(0.0 + 2 * step, 3)
         with pytest.raises(OutOfDomain):
             p.derivative(3.0, 0)
+
+    @pytest.mark.parametrize("num", [257, 1025, 4097])
+    def test_batched_stencils_match_per_point_reference(self, num):
+        p = self.make(lambda s: np.sin(s) + 2.0, hi=6.0, num=num)
+        rng = np.random.default_rng(num)
+        lo, hi = p.s_start + 3 * p.step, p.s_end - 3 * p.step
+        # Off-node queries, plus the two ends where the stencil is clamped.
+        s = np.concatenate(([lo, hi], rng.uniform(lo, hi, size=200)))
+        eps = np.finfo(float).eps
+        for order in range(5):
+            got = p.derivative(s, order)
+            ref = [per_point_derivative(p, sv, order) for sv in s]
+            want, scale = np.array(ref).T
+            assert np.all(np.abs(got - want) <= 8 * eps * scale), order
+
+    def test_output_shape_follows_input(self):
+        p = self.make(np.sin)
+        empty = p.derivative(np.array([]), 3)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        grid = np.linspace(0.5, 2.5, 12).reshape(3, 4)
+        out = p.derivative(grid, 2)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out.ravel(), p.derivative(grid.ravel(), 2))
+        assert np.ndim(p.derivative(1.2, 4)) == 0
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_margins_per_order_at_both_ends(self, order):
+        p = self.make(np.sin, lo=0.0, hi=3.0, num=31)
+        margin = (2 if order <= 2 else 3) * 0.1
+        inside = np.array([margin, 1.5, 3.0 - margin])
+        assert p.derivative(inside, order).shape == (3,)
+        for outside in (margin - 0.01, 3.0 - margin + 0.01):
+            with pytest.raises(OutOfDomain):
+                p.derivative(np.append(inside, outside), order)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
