@@ -107,7 +107,8 @@ def build_round_sphere(n: int = 5) -> CatalogEntry:
         domain=(0.15, math.pi - 0.15),
     )
     lapse = make_lapse("sin-cos", (0.0, 1.0, 1.0))
-    return CatalogEntry("round_sphere", spec, lapse, "Einstein", params={"n": n})
+    return CatalogEntry("round_sphere", spec, lapse, EXPECTED_LABELS["round_sphere"],
+                        params={"n": n})
 
 
 def build_flat(n: int = 4) -> CatalogEntry:
@@ -120,7 +121,7 @@ def build_flat(n: int = 4) -> CatalogEntry:
         domain=(0.0, 1.0),
     )
     lapse = make_lapse("linear", (1.0, 0.5))
-    return CatalogEntry("flat", spec, lapse, "Einstein", params={"n": n})
+    return CatalogEntry("flat", spec, lapse, EXPECTED_LABELS["flat"], params={"n": n})
 
 
 def _rigid_fiber_entry(
@@ -140,7 +141,7 @@ def _rigid_fiber_entry(
         domain=(0.0, period),
     )
     return CatalogEntry(
-        name, spec, lapse, "DFlat_TypeI",
+        name, spec, lapse, EXPECTED_LABELS[name],
         compact=compact, period=period if compact else None,
         params={"n": n, "k": k, "c1": c1, "c2": c2},
     )
@@ -186,7 +187,7 @@ def build_example3(
     )
     lapse = lapse_from_warping(warping, 1.0)
     return CatalogEntry(
-        "example3", spec, lapse, "DFlat_TypeI",
+        "example3", spec, lapse, EXPECTED_LABELS["example3"],
         params={"n": n, "R": R, "a": a, "k": k},
     )
 
@@ -208,7 +209,7 @@ def build_example4(
     )
     lapse = lapse_from_warping(sol.warping, 1.0)
     return CatalogEntry(
-        "example4", spec, lapse, "DFlat_TypeI",
+        "example4", spec, lapse, EXPECTED_LABELS["example4"],
         compact=True, period=sol.period,
         params={"n": n, "R": R, "a": a, "k": k},
     )
@@ -228,7 +229,7 @@ def build_example5(
     )
     lapse = lapse_from_warping(warping, 1.0)
     return CatalogEntry(
-        "example5", spec, lapse, "DFlat_TypeI",
+        "example5", spec, lapse, EXPECTED_LABELS["example5"],
         params={"n": n, "a": a, "k": k, "length": length},
     )
 
@@ -243,12 +244,10 @@ def _circle_over_fiber_entry(name: str, n: int, R: float) -> CatalogEntry:
         circle = make_analytic_warping("sin-scaled", (1.0, omega))
         lapse = make_lapse("sin-cos", (0.0, 1.0, omega))
         domain = (0.2, math.pi / omega - 0.2)
-        label = "TypeII"
     else:
         circle = make_analytic_warping("sinh-scaled", (1.0, omega))
         lapse = make_lapse("sinh-cosh", (0.0, 1.0, omega))
         domain = (0.2, 2.2)
-        label = "TypeIII"
     spec = WarpedProductSpec(
         blocks=(
             FiberBlock(1, circle),
@@ -257,7 +256,8 @@ def _circle_over_fiber_entry(name: str, n: int, R: float) -> CatalogEntry:
         ),
         domain=domain,
     )
-    return CatalogEntry(name, spec, lapse, label, params={"n": n, "R": R})
+    return CatalogEntry(name, spec, lapse, EXPECTED_LABELS[name],
+                        params={"n": n, "R": R})
 
 
 def build_type_ii(n: int = 5, R: float = 8.0) -> CatalogEntry:
@@ -317,7 +317,7 @@ def build_type_iv(
     )
     lapse = lapse_from_warping(warping, 1.0)
     return CatalogEntry(
-        "type_iv", spec, lapse, "TypeIV",
+        "type_iv", spec, lapse, EXPECTED_LABELS["type_iv"],
         compact=compact, period=period,
         params={"n": n, "r": r, "R": R, "c0": c0, "k": k},
     )

@@ -16,6 +16,9 @@ single short Runge-Kutta step from the nearest stored node, and all
 derivatives of order two and higher come from the differential equation,
 never from finite differences, so the equation residual of the profile is
 zero by construction.
+
+Turning points and orbit crossings come from `_brentq`, a port of scipy's
+Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadRange, BlowUp, NonPositiveInput, OutOfDomain, ZeroScale
 from .profiles import Profile, ScaledDerivativeProfile
@@ -282,6 +284,42 @@ def k0_threshold(n: int, R: float, a: float) -> float:
     return R / ((n - 1.0) * (n - 2.0)) * (n * (n - 1.0) * a / R) ** (2.0 / n)
 
 
+def _brentq(f, a, b, xtol=1e-14, rtol=1e-15, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method (as scipy's brentq.c)."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre and fcur and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        bound = min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if 2 * abs(stry) < bound else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"no convergence in {maxiter} iterations")
+
+
 def _potential(p: int, c1: float, c0: float, h: float) -> float:
     return 2.0 * c0 / (p - 1.0) * h ** (-(p - 1.0)) + c1 * h * h
 
@@ -314,11 +352,11 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
             hi = 2.0 * h_star
             while gap(hi) <= 0.0:
                 hi *= 2.0
-            return float(brentq(gap, h_star, hi, xtol=1e-14, rtol=1e-15))
+            return _brentq(gap, h_star, hi)
         lo = 0.5 * h_star
         while gap(lo) <= 0.0:
             lo *= 0.5
-        return float(brentq(gap, lo, h_star, xtol=1e-14, rtol=1e-15))
+        return _brentq(gap, lo, h_star)
     # Monotone potential: a single barrier root on the inner side.
     if branch == "outer":
         raise BadRange("no outer turning point when linear_coeff <= 0")
@@ -332,7 +370,7 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
         lo *= 0.5
     while gap(hi) >= 0.0:
         hi *= 2.0
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15))
+    return _brentq(gap, lo, hi)
 
 
 def find_periodic(
@@ -353,17 +391,8 @@ def find_periodic(
     if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
         return None
 
-    def gap(h: float) -> float:
-        return _potential(p, c1, c0, h) - k
-
-    hi = 2.0 * h_star
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-    h_max = brentq(gap, h_star, hi, xtol=1e-14, rtol=1e-15)
-    lo = 0.5 * h_star
-    while gap(lo) <= 0.0:
-        lo *= 0.5
-    h_min = brentq(gap, lo, h_star, xtol=1e-14, rtol=1e-15)
+    h_max = turning_point(params, k, "outer")
+    h_min = turning_point(params, k, "inner")
 
     # Linearized period sets the step; the search window is generous.
     t_lin = 2.0 * math.pi / math.sqrt((p + 1.0) * c1)
@@ -382,10 +411,7 @@ def find_periodic(
             def hp_at(delta: float) -> float:
                 return _rk4_step(p, c1, c0, h, hp, delta)[1]
 
-            delta = (
-                dt if hp_next == 0.0
-                else brentq(hp_at, 0.0, dt, xtol=1e-14, rtol=1e-15)
-            )
+            delta = dt if hp_next == 0.0 else _brentq(hp_at, 0.0, dt)
             crossings += 1
             if crossings == 2:
                 period = s + delta

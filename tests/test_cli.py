@@ -7,9 +7,16 @@ emitted documents are asserted directly; files land in tmp_path.
 import filecmp
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import staticgeo
 from staticgeo.catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
 from staticgeo.cli import main
 from staticgeo.warped_geometry import load_problem
@@ -423,3 +430,55 @@ class TestGridEnvironment:
         code, _, err = run(capsys, ["verify", path])
         assert code == 2
         assert "too small" in err
+
+
+# ---------------------------------------------------------------------------
+# Fresh processes: pytest has already imported scipy in this one, so these
+# guards run their probe in a new interpreter.
+
+
+def run_fresh(code):
+    env = dict(os.environ)
+    src = str(Path(staticgeo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+class TestFreshProcess:
+    def test_cli_import_loads_no_scipy(self):
+        out = run_fresh("""
+            import sys
+            import staticgeo.cli
+            print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+        """)
+        assert out.strip() == "[]"
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds"
+    )
+    @pytest.mark.parametrize("name", ["type_ii", "type_iv"])
+    def test_requests_do_not_fault_their_temporaries_back_in(self, name):
+        # Without a large block freed at import, glibc returns each request's
+        # temporaries to the kernel and faults them back in on the next one.
+        out = run_fresh(f"""
+            import resource
+            from staticgeo.catalog import build_entry
+            from staticgeo.static_verifier import classify, verify_pair
+
+            def request():
+                e = build_entry({name!r})
+                verify_pair(e.spec, e.lapse)
+                classify(e.spec, e.lapse)
+
+            for _ in range(3):
+                request()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                request()
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+        """)
+        assert float(out) < 50.0

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from staticgeo.errors import (
     BadRange,
@@ -39,6 +40,9 @@ from staticgeo.ode_solver import (
     first_integral,
     integrate_warping,
     k0_threshold,
+    _brentq,
+    _potential,
+    _rk4_step,
     lapse_from_warping,
     turning_point,
 )
@@ -400,6 +404,75 @@ class TestTurningPoint:
         params = WarpingODEParams(4, 0.0, 1.0, 1.0, 0.0, (0.0, 1.0))
         with pytest.raises(BadRange, match="positive"):
             turning_point(params, 0.0, "inner")
+
+
+# ---------------------------------------------------------------------------
+# Root finder
+
+
+def potential_brackets(rng, count):
+    """Seeded brackets of the potential gap on both sides of its minimum."""
+    for _ in range(count):
+        p = int(rng.integers(2, 9))
+        c1, c0 = rng.uniform(0.05, 10.0, size=2)
+        h_star = (c0 / c1) ** (1.0 / (p + 1.0))
+        k = _potential(p, c1, c0, h_star) * (1.0 + rng.uniform(1e-6, 3.0))
+
+        def gap(h, p=p, c1=c1, c0=c0, k=k):
+            return _potential(p, c1, c0, h) - k
+
+        hi = 2.0 * h_star
+        while gap(hi) <= 0.0:
+            hi *= 2.0
+        lo = 0.5 * h_star
+        while gap(lo) <= 0.0:
+            lo *= 0.5
+        yield gap, h_star, hi
+        yield gap, lo, h_star
+
+
+def crossing_brackets(rng, count):
+    """Seeded RK4 steps across which h' changes sign, as in find_periodic."""
+    found = 0
+    while found < count:
+        p = int(rng.integers(2, 9))
+        c1, c0 = rng.uniform(0.05, 10.0, size=2)
+        h0 = (c0 / c1) ** (1.0 / (p + 1.0)) * rng.uniform(0.5, 2.0)
+        hp0 = rng.uniform(-1e-3, 1e-3)
+        dt = rng.uniform(1e-4, 0.05)
+
+        def hp_at(delta, p=p, c1=c1, c0=c0, h0=h0, hp0=hp0):
+            return _rk4_step(p, c1, c0, h0, hp0, delta)[1]
+
+        if hp0 != 0.0 and math.copysign(1.0, hp_at(dt)) != math.copysign(1.0, hp0):
+            found += 1
+            yield hp_at, 0.0, dt
+
+
+class TestBrentq:
+    """The in-package port against scipy.optimize.brentq as the oracle."""
+
+    @pytest.mark.parametrize(
+        "brackets", [potential_brackets, crossing_brackets], ids=["gap", "crossing"]
+    )
+    def test_roots_equal_scipy(self, brackets):
+        rng = np.random.default_rng(20240601)
+        for f, a, b in brackets(rng, 300):
+            root = _brentq(f, a, b)
+            assert type(root) is float
+            assert root == brentq(f, a, b, xtol=1e-14, rtol=1e-15)
+
+    def test_endpoint_root_is_returned_exactly(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_iteration_limit_raises(self):
+        with pytest.raises(RuntimeError, match="convergence"):
+            _brentq(lambda x: x**3 - 2.0, 0.0, 10.0, maxiter=1)
 
 
 # ---------------------------------------------------------------------------
