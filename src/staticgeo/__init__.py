@@ -7,6 +7,8 @@ classifies the structure of verified pairs, and ships a catalog of
 reference geometries plus a command line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 import numpy as _np
 # Freeing one mmapped 4 MiB block raises glibc's dynamic mmap and trim
 # thresholds, so a request's ~1 MB of temporaries stay in the heap instead
@@ -105,89 +107,9 @@ from .warped_geometry import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # geometry
-    "DEFAULT_GRID_POINTS",
-    "FiberBlock",
-    "LapseFunction",
-    "ValidationReport",
-    "WarpedProductSpec",
-    "WarpingFunction",
-    "load_problem",
-    "make_analytic_warping",
-    "make_lapse",
-    "make_sampled_warping",
-    "perturbed_lapse",
-    "spec_from_dict",
-    "validate_spec",
-    # curvature
-    "DiagonalTwoTensor",
-    "MixedThreeTensor",
-    "RicciSpectrum",
-    "RiemannClasses",
-    "SpectrumDerivatives",
-    "bach_spectrum",
-    "cotton_classes",
-    "cotton_from_weyl_divergence",
-    "d_tensor_classes",
-    "d_tensor_derivatives",
-    "eigenvalue_derivatives",
-    "frame_connection",
-    "materialize_full",
-    "ricci_spectrum",
-    "riemann_classes",
-    "scalar_profile",
-    "schouten_spectrum",
-    "weyl_classes",
-    "xi_profile",
-    # verification
-    "ANALYTIC",
-    "LABELS",
-    "ODE_BACKED",
-    "Channel",
-    "ResidualReport",
-    "ToleranceProfile",
-    "TypeLabel",
-    "check_lemma41",
-    "classify",
-    "harmonic_residual",
-    "identity_db",
-    "identity_dcw",
-    "integrability_residual",
-    "static_residual",
-    "tier_for",
-    "verify_pair",
-    # warping equation
-    "FirstIntegralValue",
-    "PeriodicSolution",
-    "WarpingODEParams",
-    "find_periodic",
-    "first_integral",
-    "integrate_warping",
-    "k0_threshold",
-    "lapse_from_warping",
-    "turning_point",
-    # catalog
-    "BUILDERS",
-    "CATALOG_NAMES",
-    "CatalogEntry",
-    "EXPECTED_LABELS",
-    "build_entry",
-    "default_catalog",
-    # errors
-    "StaticGeoError",
-    "BadRange",
-    "BlowUp",
-    "DerivativeOrderUnavailable",
-    "InsufficientFiberData",
-    "NonPositiveInput",
-    "NonPositiveSample",
-    "OutOfDomain",
-    "TooFewSamples",
-    "UnsupportedKind",
-    "WrongBlockCount",
-    "WrongSign",
-    "ZeroK",
-    "ZeroScale",
+# The public surface is exactly what the import block above binds.
+__all__ = ["__version__"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -25,7 +25,6 @@ import sys
 
 import numpy as np
 
-from . import curvature_engine as ce
 from . import static_verifier as sv
 from .catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
 from .errors import BlowUp, StaticGeoError
@@ -171,8 +170,8 @@ def _cmd_catalog(args) -> int:
         except ValueError:
             overrides[key] = float(raw)
     entry = _entry_with_grid(args.name, overrides)
-    report = sv.verify_pair(entry.spec, entry.lapse)
     label = sv.classify(entry.spec, entry.lapse)
+    report = label.report
     tier = sv.tier_for(entry.spec, entry.lapse)
     ok = label.label == entry.expected_label and report.max_sup() <= tier.residual
     out = {
@@ -198,27 +197,19 @@ def _cmd_catalog(args) -> int:
 def _report_columns(spec, lapse):
     margin = GRID_MARGIN_STEPS * spec.step
     s = np.linspace(spec.domain[0] + margin, spec.domain[1] - margin, spec.grid_points)
-    B = len(spec.blocks)
-    r = ce.ricci_spectrum(spec, s)
-    xi = ce.xi_profile(spec, s)
-    stat = sv.static_pointwise(spec, lapse, s)
-    d = ce.d_tensor_classes(spec, lapse, s).value_block
-    cols: list[tuple[str, np.ndarray]] = [("s", s)]
-    for j, b in enumerate(spec.blocks):
-        cols.append((f"h_{j}", np.broadcast_to(b.warping.value(s), s.shape)))
-    for j in range(B):
-        cols.append((f"xi_{j}", xi[j]))
-    cols.append(("lambda1", r.lambda_1))
-    for j in range(B):
-        cols.append((f"lambda_{j}", r.lambda_block[j]))
-    cols.append(("R", r.scalar))
-    cols.append(("f", np.asarray(lapse.value(s), dtype=float)))
-    cols.append(("static_11", stat["static_11"]))
-    for j in range(B):
-        cols.append((f"static_{j}", stat[f"static_block[{j}]"]))
-    for j in range(B):
-        cols.append((f"D_{j}", d[j]))
-    return cols
+    d, fs, stat, d_tensor = sv._static_rows(spec, lapse, s)
+    h = [np.broadcast_to(b.warping.value(s), s.shape) for b in spec.blocks]
+
+    def per_block(prefix, rows):
+        return [(f"{prefix}_{j}", row) for j, row in enumerate(rows)]
+
+    return (
+        [("s", s)] + per_block("h", h) + per_block("xi", d.xi[0])
+        + [("lambda1", d.lambda_1[0])] + per_block("lambda", d.lambda_block[0])
+        + [("R", d.scalar[0]), ("f", fs[0]), ("static_11", stat["static_11"])]
+        + per_block("static", [stat[f"static_block[{j}]"] for j in range(len(h))])
+        + per_block("D", d_tensor)
+    )
 
 
 def _cmd_report(args) -> int:

@@ -38,7 +38,9 @@ from .errors import (
     InsufficientFiberData,
     OutOfDomain,
 )
-from .jets import derivatives_from_jet, jconst, jder, jdiv, jet_of, jmul
+from .jets import (
+    derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jet_of, jmul,
+)
 from .warped_geometry import GRID_MARGIN_STEPS, LapseFunction, WarpedProductSpec
 
 __all__ = [
@@ -149,33 +151,26 @@ class _Frame:
 
     def __init__(self, spec: WarpedProductSpec, s, lam_order: int, what: str):
         s = _check_domain(spec, s)
-        self.spec = spec
         self.s = s
         self.n = spec.n
         self.B = len(spec.blocks)
         horder = lam_order + 2
         for b in spec.blocks:
             _require_order(b.warping, horder, what)
-        h = np.stack(
+        h = jet_from_derivatives(
             [
                 np.stack(
                     [
-                        np.broadcast_to(
-                            np.asarray(b.warping.derivative(s, d), dtype=float), s.shape
-                        )
+                        np.broadcast_to(b.warping.derivative(s, d), s.shape)
                         for b in spec.blocks
-                    ],
-                    axis=0,
+                    ]
                 )
-                / _fact(d)
                 for d in range(horder + 1)
-            ],
-            axis=0,
+            ]
         )
         dims = _dims(spec, s.ndim)
         ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(dims.shape)
 
-        self.h = h
         hp = jder(h)                                   # order: horder-1
         self.xi = jdiv(hp, h[:horder])                 # order: horder-1
         h2inv = jdiv(jconst(1.0, horder, like=h), jmul(h, h))
@@ -205,7 +200,6 @@ class _Frame:
         self.A1 = self.lam1 - shift
         self.Ablk = self.lam - shift[:, None]
         self.dims = dims
-        self.ks = ks
 
     def weyl_jets(self):
         nm2 = self.n - 2
@@ -220,13 +214,6 @@ class _Frame:
         d_a = jder(self.Ablk)
         rows = min(prod.shape[0], d_a.shape[0])
         return prod[:rows] - d_a[:rows]
-
-
-_FACTS = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0]
-
-
-def _fact(d: int) -> float:
-    return _FACTS[d]
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +276,23 @@ def eigenvalue_derivatives(
     )
 
 
+def _d_factor(n: int, lambda_1, lambda_block, scalar) -> np.ndarray:
+    """((n-1) lambda_a - R + lambda_1)/(n-2), so that D_{a1a} = f' times it.
+
+    Every input stacks jet or derivative rows on its leading axis; the
+    block axis of lambda_block comes next.
+    """
+    return ((n - 1.0) * lambda_block - scalar[:, None] + lambda_1[:, None]) / (n - 2.0)
+
+
 def d_tensor_derivatives(
     spec: WarpedProductSpec, f: LapseFunction, s, order: int = 1
 ) -> np.ndarray:
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
     _require_order(f, order + 1, "d_tensor_derivatives")
     fr = _Frame(spec, s, order, "d_tensor_derivatives")
-    n = spec.n
     fp = jder(jet_of(f, fr.s, order + 1))
-    combo = ((n - 1.0) * fr.lam - fr.scal[:, None] + fr.lam1[:, None]) / (n - 2.0)
+    combo = _d_factor(spec.n, fr.lam1, fr.lam, fr.scal)
     return derivatives_from_jet(jmul(fp[:, None], combo))
 
 
@@ -322,10 +317,8 @@ def weyl_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     return RiemannClasses(w_base[0], w_intra[0], w_cross[0])
 
 
-def cotton_classes(spec: WarpedProductSpec, f, s) -> MixedThreeTensor:
-    """C_{a1a} per block.  The lapse is accepted for signature parity with
-    the other verification-facing operations; the value is metric-only."""
-    del f
+def cotton_classes(spec: WarpedProductSpec, s) -> MixedThreeTensor:
+    """C_{a1a} per block (metric-only)."""
     fr = _Frame(spec, s, 1, "cotton_classes")
     return MixedThreeTensor(fr.cotton_jets()[0])
 
@@ -339,19 +332,16 @@ def d_tensor_classes(spec: WarpedProductSpec, f: LapseFunction, s) -> MixedThree
     _require_order(f, 1, "d_tensor_classes")
     fr = _Frame(spec, s, 0, "d_tensor_classes")
     fp = np.asarray(f.derivative(fr.s, 1), dtype=float)
-    n = spec.n
-    combo = ((n - 1.0) * fr.lam[0] - fr.scal[0][None] + fr.lam1[0][None]) / (n - 2.0)
-    return MixedThreeTensor(fp[None] * combo)
+    return MixedThreeTensor(fp[None] * _d_factor(spec.n, fr.lam1, fr.lam, fr.scal)[0])
 
 
-def bach_spectrum(spec: WarpedProductSpec, f, s) -> DiagonalTwoTensor:
+def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
     """Diagonal Bach values B_11 and B_aa per block (metric-only).
 
     B_ij = (C_ijk,k + R_kl W_ikjl)/(n-2); the divergence is taken in the
     adapted frame, where only w_{1a} = xi_a w_a contributes for
     block-constant component functions.
     """
-    del f
     _check_fiber_data(spec)
     fr = _Frame(spec, s, 2, "bach_spectrum")
     nm2 = spec.n - 2.0
@@ -384,14 +374,13 @@ def bach_spectrum(spec: WarpedProductSpec, f, s) -> DiagonalTwoTensor:
     return DiagonalTwoTensor(b_11, b_aa)
 
 
-def cotton_from_weyl_divergence(spec: WarpedProductSpec, f, s) -> MixedThreeTensor:
+def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
     """Cotton classes recovered from -(n-2)/(n-3) * div W (first slot).
 
     Independent route used to cross-check cotton_classes; needs n >= 4
     and space-form fibers.  Evaluated densely so that index bookkeeping
     errors cannot hide in the class collapse.
     """
-    del f
     if spec.n < 4:
         raise BadRange(f"Weyl-divergence route needs n >= 4, got n={spec.n}")
     _check_fiber_data(spec)
@@ -422,7 +411,7 @@ def _block_of_index(spec: WarpedProductSpec) -> np.ndarray:
     return owner
 
 
-def materialize_full(classes, spec: WarpedProductSpec, s=None) -> np.ndarray:
+def materialize_full(classes, spec: WarpedProductSpec) -> np.ndarray:
     """Expand collapsed classes into a dense frame tensor.
 
     RiemannClasses -> (..., n, n, n, n) with all pair symmetries;
@@ -430,7 +419,6 @@ def materialize_full(classes, spec: WarpedProductSpec, s=None) -> np.ndarray:
     MixedThreeTensor -> (..., n, n, n).
     Grid axes of the class arrays come first in the output.
     """
-    del s
     n = spec.n
     owner = _block_of_index(spec)
     if isinstance(classes, RiemannClasses):

@@ -5,6 +5,10 @@ the margin-shrunk evaluation grid.  Residuals are always written in a
 multiplied-through form (no division by the lapse or its derivative), so
 they stay finite across zeros of f.
 
+One spectrum evaluation (ce.eigenvalue_derivatives, a single curvature
+frame) feeds every channel of an answer: verify_pair's static, harmonic
+and integrability channels, and classify's gate, clusters and D-tensor.
+
 The classification looks at how many distinct values the fiber Ricci
 eigenvalues take and which blocks warp.  Label strings, including
 "ViolatesThm42" for three or more distinct fiber eigenvalues, are part of
@@ -13,6 +17,7 @@ the wire format and are consumed verbatim by the command line tools.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -66,16 +71,18 @@ class Channel:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named residual channels measured over a common grid."""
+    """Named residual channels over a grid; `_evaluation` keeps verify_pair's (d, fs)."""
 
     channels: Mapping[str, Channel]
     grid: np.ndarray = field(repr=False)
+    _evaluation: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))
 
     def max_sup(self) -> float:
-        return max((c.sup for c in self.channels.values()), default=0.0)
+        """Largest channel sup (0.0 without channels); NaN if any sup is NaN."""
+        return float(np.max([c.sup for c in self.channels.values()], initial=0.0))
 
     def merge(self, other: "ResidualReport") -> "ResidualReport":
         merged = dict(self.channels)
@@ -132,6 +139,49 @@ def tier_for(spec: WarpedProductSpec, f: LapseFunction | None = None) -> Toleran
 # ---------------------------------------------------------------------------
 
 
+def _rows(fn, s) -> list[np.ndarray]:
+    return [np.asarray(fn.derivative(s, k), dtype=float) for k in range(3)]
+
+
+def _static_channels(spec: WarpedProductSpec, fs, d) -> dict[str, np.ndarray]:
+    f0, f1, f2 = fs
+    shift = d.scalar[0] / (spec.n - 1.0)
+    out = {"static_11": f2 - f0 * (d.lambda_1[0] - shift)}
+    for j in range(len(spec.blocks)):
+        out[f"static_block[{j}]"] = f1 * d.xi[0, j] - f0 * (d.lambda_block[0, j] - shift)
+    return out
+
+
+def _harmonic_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]:
+    lam, xi = d.lambda_block, d.xi
+    out = {"scalar_drift": d.scalar[1]}
+    for j in range(len(spec.blocks)):
+        out[f"harmonic_block[{j}]"] = lam[1, j] - (d.lambda_1[0] - lam[0, j]) * xi[0, j]
+    return out
+
+
+def _integrability_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]:
+    lam, xi, shift = d.lambda_block, d.xi, d.scalar[0] / (spec.n - 1.0)
+    return {
+        f"integrability_block[{j}]": xi[1, j] + xi[0, j] ** 2 - (lam[0, j] - shift)
+        for j in range(len(spec.blocks))
+    }
+
+
+def _d_classes(spec: WarpedProductSpec, f1: np.ndarray, d) -> np.ndarray:
+    return f1[None] * ce._d_factor(spec.n, d.lambda_1, d.lambda_block, d.scalar)[0]
+
+
+def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s):
+    """Order-0 spectrum, lapse rows, static channels and D classes from one frame."""
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s)
+    return d, fs, _static_channels(spec, fs, d), _d_classes(spec, fs[1], d)
+
+
+def _report(point: dict[str, np.ndarray], s: np.ndarray) -> ResidualReport:
+    return ResidualReport({k: _channel(v, s) for k, v in point.items()}, s)
+
+
 def static_pointwise(
     spec: WarpedProductSpec, f: LapseFunction, s=None
 ) -> dict[str, np.ndarray]:
@@ -145,23 +195,13 @@ def static_pointwise(
     """
     if s is None:
         s = spec.evaluation_grid()
-    r = ce.ricci_spectrum(spec, s)
-    xi = ce.xi_profile(spec, s)
-    f0 = np.asarray(f.value(s), dtype=float)
-    f1 = np.asarray(f.derivative(s, 1), dtype=float)
-    f2 = np.asarray(f.derivative(s, 2), dtype=float)
-    shift = r.scalar / (spec.n - 1.0)
-    out = {"static_11": f2 - f0 * (r.lambda_1 - shift)}
-    for j in range(len(spec.blocks)):
-        out[f"static_block[{j}]"] = f1 * xi[j] - f0 * (r.lambda_block[j] - shift)
-    return out
+    return _static_channels(spec, _rows(f, s), ce.eigenvalue_derivatives(spec, s, order=0))
 
 
 def static_residual(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """Sup-norm report of the static-equation channels."""
     s = spec.evaluation_grid()
-    point = static_pointwise(spec, f, s)
-    return ResidualReport({k: _channel(v, s) for k, v in point.items()}, s)
+    return _report(static_pointwise(spec, f, s), s)
 
 
 def harmonic_pointwise(spec: WarpedProductSpec, s=None) -> dict[str, np.ndarray]:
@@ -172,23 +212,13 @@ def harmonic_pointwise(spec: WarpedProductSpec, s=None) -> dict[str, np.ndarray]
     """
     if s is None:
         s = spec.evaluation_grid()
-    d = ce.eigenvalue_derivatives(spec, s, order=1)
-    out = {"scalar_drift": d.scalar[1]}
-    for j in range(len(spec.blocks)):
-        out[f"harmonic_block[{j}]"] = d.lambda_block[1, j] - (
-            d.lambda_1[0] - d.lambda_block[0, j]
-        ) * d.xi[0, j]
-    return out
+    return _harmonic_channels(spec, ce.eigenvalue_derivatives(spec, s, order=1))
 
 
-def harmonic_residual(
-    spec: WarpedProductSpec, f: LapseFunction | None = None
-) -> ResidualReport:
+def harmonic_residual(spec: WarpedProductSpec) -> ResidualReport:
     """Sup-norm report of the harmonic-curvature channels (metric-only)."""
-    del f
     s = spec.evaluation_grid()
-    point = harmonic_pointwise(spec, s)
-    return ResidualReport({k: _channel(v, s) for k, v in point.items()}, s)
+    return _report(harmonic_pointwise(spec, s), s)
 
 
 def integrability_residual(spec: WarpedProductSpec) -> ResidualReport:
@@ -200,12 +230,7 @@ def integrability_residual(spec: WarpedProductSpec) -> ResidualReport:
     """
     s = spec.evaluation_grid()
     d = ce.eigenvalue_derivatives(spec, s, order=1)
-    shift = d.scalar[0] / (spec.n - 1.0)
-    channels = {}
-    for j in range(len(spec.blocks)):
-        res = d.xi[1, j] + d.xi[0, j] ** 2 - (d.lambda_block[0, j] - shift)
-        channels[f"integrability_block[{j}]"] = _channel(res, s)
-    return ResidualReport(channels, s)
+    return _report(_integrability_channels(spec, d), s)
 
 
 def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
@@ -215,7 +240,7 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     exercised, then attributed back to blocks through the first index.
     """
     s = spec.evaluation_grid()
-    C = ce.materialize_full(ce.cotton_classes(spec, f, s), spec)
+    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
     W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
     D = ce.materialize_full(ce.d_tensor_classes(spec, f, s), spec)
     f0 = np.asarray(f.value(s), dtype=float)[..., None, None, None]
@@ -239,8 +264,8 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """
     s = spec.evaluation_grid()
     n = spec.n
-    B = ce.materialize_full(ce.bach_spectrum(spec, f, s), spec)
-    C = ce.materialize_full(ce.cotton_classes(spec, f, s), spec)
+    B = ce.materialize_full(ce.bach_spectrum(spec, s), spec)
+    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
     d_der = ce.d_tensor_derivatives(spec, f, s, order=1)
     D = ce.materialize_full(ce.MixedThreeTensor(d_der[0]), spec)
     Dp = ce.materialize_full(ce.MixedThreeTensor(d_der[1]), spec)
@@ -299,11 +324,14 @@ def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
 
 def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """Static, harmonic and integrability channels in one report."""
-    return (
-        static_residual(spec, f)
-        .merge(harmonic_residual(spec))
-        .merge(integrability_residual(spec))
-    )
+    s = spec.evaluation_grid()
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), _rows(f, s)
+    point = _static_channels(spec, fs, d)
+    point.update(_harmonic_channels(spec, d))
+    point.update(_integrability_channels(spec, d))
+    report = _report(point, s)
+    object.__setattr__(report, "_evaluation", (d, fs))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +341,7 @@ def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
 
 @dataclass(frozen=True)
 class TypeLabel:
-    """Classification outcome with the diagnostics that drove it."""
+    """Classification outcome with the diagnostics and residual report behind it."""
 
     label: str
     distinct_count: int
@@ -321,6 +349,7 @@ class TypeLabel:
     xi_product_sup: float
     d_sup: float
     detail: str
+    report: ResidualReport = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -335,16 +364,13 @@ class TypeLabel:
 
 def _cluster_blocks(lam_blk: np.ndarray, threshold: float) -> list[list[int]]:
     """Group block indices whose eigenvalue profiles agree in sup norm."""
-    B = lam_blk.shape[0]
     clusters: list[list[int]] = []
-    for j in range(B):
-        placed = False
+    for j in range(lam_blk.shape[0]):
         for cl in clusters:
             if all(np.max(np.abs(lam_blk[j] - lam_blk[i])) <= threshold for i in cl):
                 cl.append(j)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([j])
     return clusters
 
@@ -364,10 +390,8 @@ def classify(
     """
     if tol is None:
         tol = tier_for(spec, f)
-    s = spec.evaluation_grid()
     report = verify_pair(spec, f)
-
-    d = ce.eigenvalue_derivatives(spec, s, order=0)
+    (d, fs), s = report._evaluation, report.grid
     lam1, lam_blk, scal, xi = d.lambda_1[0], d.lambda_block[0], d.scalar[0], d.xi[0]
     dims = [b.dim for b in spec.blocks]
     scale = max(float(np.max(np.abs(lam_blk))), float(np.max(np.abs(lam1))), 1e-12)
@@ -378,19 +402,19 @@ def classify(
     m = len(clusters)
 
     xi_prod = 0.0
-    for i, cl_i in enumerate(clusters):
-        for cl_j in clusters[i + 1 :]:
-            for a in cl_i:
-                for b in cl_j:
-                    xi_prod = max(xi_prod, float(np.max(np.abs(xi[a] * xi[b]))))
-    d_sup = float(np.max(np.abs(ce.d_tensor_classes(spec, f, s).value_block)))
+    for cl_i, cl_j in itertools.combinations(clusters, 2):
+        for a, b in itertools.product(cl_i, cl_j):
+            xi_prod = max(xi_prod, float(np.max(np.abs(xi[a] * xi[b]))))
+    d_sup = float(np.max(np.abs(_d_classes(spec, fs[1], d))))
 
     def made(label: str, detail: str) -> TypeLabel:
-        return TypeLabel(label, m, mults, xi_prod, d_sup, detail)
+        return TypeLabel(label, m, mults, xi_prod, d_sup, detail, report)
 
     gate = report.max_sup()
-    if gate > tol.residual:
-        worst = max(report.channels, key=lambda k: report.channels[k].sup)
+    if not gate <= tol.residual:
+        worst = next(
+            k for k, c in report.channels.items() if c.sup == gate or np.isnan(c.sup)
+        )
         return made("Invalid", f"residual gate failed: {worst} sup {gate:.3e}")
 
     if m == 1:
@@ -421,9 +445,7 @@ def classify(
 
     if wb.dim == 1:
         if float(np.max(np.abs(lam_const - R / (spec.n - 1.0)))) > thr:
-            return made(
-                "Invalid", "constant cluster eigenvalue is not R/(n-1)"
-            )
+            return made("Invalid", "constant cluster eigenvalue is not R/(n-1)")
         if R > tol.structure * scale:
             return made("TypeII", "one warped circle direction, R > 0")
         if R < -tol.structure * scale:
@@ -437,9 +459,7 @@ def classify(
     if const_dim == 1 and abs(R) > tol.structure * scale:
         return made("Invalid", "line-type constant factor needs R = 0")
     c1 = R / ((spec.n - 1.0) * (r1 + 1.0))
-    h = np.asarray(wb.warping.value(s), dtype=float)
-    hp = np.asarray(wb.warping.derivative(s, 1), dtype=float)
-    hpp = np.asarray(wb.warping.derivative(s, 2), dtype=float)
+    h, hp, hpp = _rows(wb.warping, s)
     c0_profile = (hpp + c1 * h) * h**r1
     c0 = float(np.median(c0_profile))
     if float(np.max(np.abs(c0_profile - c0))) > tol.structure * max(1.0, abs(c0)):

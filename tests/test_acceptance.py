@@ -170,7 +170,7 @@ def test_criterion_05_dflat_dichotomy(entry_by_name):
         if d_sup > 1e-8:
             problems.append(f"{name}: D sup {d_sup:.3e} > 1e-8")
         s = e.spec.evaluation_grid()
-        bach = ce.materialize_full(ce.bach_spectrum(e.spec, e.lapse, s), e.spec)
+        bach = ce.materialize_full(ce.bach_spectrum(e.spec, s), e.spec)
         b_sup = float(np.max(np.abs(bach)))
         if b_sup > 1e-7:
             problems.append(f"{name}: Bach sup {b_sup:.3e} > 1e-7")
@@ -265,7 +265,7 @@ def test_criterion_09_oracle_equivalence():
         A = ce.materialize_full(ce.schouten_spectrum(spec, s), spec)
         Ap = schouten_prime(spec, s)
         W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
-        C = ce.materialize_full(ce.cotton_classes(spec, f, s), spec)
+        C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
         D = ce.materialize_full(ce.d_tensor_classes(spec, f, s), spec)
         G = ce.frame_connection(spec, s)
         fp = np.asarray(f.derivative(s, 1), dtype=float)
@@ -282,7 +282,7 @@ def test_criterion_09_oracle_equivalence():
                 err = float(np.max(np.abs(got - want)))
                 if err > 1e-10:
                     problems.append(f"n={n} s={s[i]}: {what} off by {err:.3e}")
-        via_div = ce.materialize_full(ce.cotton_from_weyl_divergence(spec, f, s), spec)
+        via_div = ce.materialize_full(ce.cotton_from_weyl_divergence(spec, s), spec)
         route_gap = float(np.max(np.abs(C - via_div)))
         if route_gap > 1e-8:
             problems.append(f"n={n}: divergence route off by {route_gap:.3e}")

@@ -14,6 +14,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import staticgeo
@@ -155,6 +156,28 @@ class TestClassify:
         assert doc["label"] == "Invalid"
         assert doc["diagnostics"]["detail"].startswith("residual gate failed")
 
+    def test_nan_residual_exits_one(self, tmp_path, capsys):
+        # The warping vanishes at s = 0; the NaN it makes must fail the gate.
+        doc = {
+            "n": 5,
+            "domain": [-1.0, 1.0],
+            "grid": 1025,
+            "blocks": [
+                {
+                    "dim": 4,
+                    "model": "space_form",
+                    "k": 1.0,
+                    "warping": {"kind": "sin-scaled", "params": [1.0, 1.0]},
+                }
+            ],
+            "lapse": {"kind": "sin-cos", "params": [0.0, 1.0, 1.0]},
+        }
+        path = write_json(tmp_path, doc)
+        with np.errstate(all="ignore"):
+            code, out, _ = run(capsys, ["classify", path])
+        assert code == 1
+        assert json.loads(out)["label"] == "Invalid"
+
 
 # ---------------------------------------------------------------------------
 # solve-ode
@@ -271,6 +294,11 @@ class TestCatalog:
         doc = json.loads(out)
         assert doc["pass"] is True
         assert doc["period"] == pytest.approx(2.8383764512400584, abs=1e-10)
+
+    def test_build_evaluates_one_frame(self, frame_builds, capsys):
+        code, _, _ = run(capsys, ["catalog", "build", "type_iv"])
+        assert code == 0
+        assert len(frame_builds) == 1
 
     def test_build_needs_a_name(self, capsys):
         code, _, err = run(capsys, ["catalog", "build"])

@@ -25,7 +25,6 @@ from staticgeo.warped_geometry import (
     WarpedProductSpec,
     WarpingFunction,
     make_analytic_warping,
-    make_lapse,
 )
 
 from oracle_tools import (
@@ -122,8 +121,7 @@ class TestCoordinateOracle:
             assert np.max(np.abs(A[i] - expected)) < 1e-12
 
     def test_cotton_matches_coordinates(self, model, spec4):
-        f = reference_lapse()
-        C = ce.materialize_full(ce.cotton_classes(spec4, f, SAMPLE_POINTS), spec4)
+        C = ce.materialize_full(ce.cotton_classes(spec4, SAMPLE_POINTS), spec4)
         for i, sv in enumerate(SAMPLE_POINTS):
             md = model["metric_diag"](sv, TH)
             expected = frame_normalize(model["cotton"](sv, TH), md)
@@ -156,9 +154,9 @@ def loop_setup(request):
         "A": ce.materialize_full(ce.schouten_spectrum(spec, s), spec),
         "A_prime": schouten_prime(spec, s),
         "W": ce.materialize_full(ce.weyl_classes(spec, s), spec),
-        "C": ce.materialize_full(ce.cotton_classes(spec, f, s), spec),
+        "C": ce.materialize_full(ce.cotton_classes(spec, s), spec),
         "D": ce.materialize_full(ce.d_tensor_classes(spec, f, s), spec),
-        "B": ce.materialize_full(ce.bach_spectrum(spec, f, s), spec),
+        "B": ce.materialize_full(ce.bach_spectrum(spec, s), spec),
         "G": ce.frame_connection(spec, s),
         "der": der,
     }
@@ -194,14 +192,14 @@ class TestLoopOracles:
 
     def test_bach_loops_with_fd_cotton(self, loop_setup):
         st = loop_setup
-        spec, f = st["spec"], st["f"]
+        spec = st["spec"]
         delta = 1e-5
         for i, sv in enumerate(st["s"]):
             up = ce.materialize_full(
-                ce.cotton_classes(spec, f, np.array([sv + delta])), spec
+                ce.cotton_classes(spec, np.array([sv + delta])), spec
             )[0]
             dn = ce.materialize_full(
-                ce.cotton_classes(spec, f, np.array([sv - delta])), spec
+                ce.cotton_classes(spec, np.array([sv - delta])), spec
             )[0]
             c_prime = (up - dn) / (2.0 * delta)
             expected = loop_bach(
@@ -233,10 +231,8 @@ class TestLoopOracles:
 
     def test_cotton_against_weyl_divergence_route(self, loop_setup):
         st = loop_setup
-        direct = ce.cotton_classes(st["spec"], st["f"], st["s"]).value_block
-        recovered = ce.cotton_from_weyl_divergence(
-            st["spec"], st["f"], st["s"]
-        ).value_block
+        direct = ce.cotton_classes(st["spec"], st["s"]).value_block
+        recovered = ce.cotton_from_weyl_divergence(st["spec"], st["s"]).value_block
         assert np.max(np.abs(direct - recovered)) < 1e-8
 
 
@@ -406,9 +402,8 @@ class TestEngineErrors:
             domain=(0.0, 1.0),
             grid_points=64,
         )
-        f = make_lapse("constant", (1.0,))
         with pytest.raises(BadRange):
-            ce.cotton_from_weyl_divergence(spec, f, np.array([0.5]))
+            ce.cotton_from_weyl_divergence(spec, np.array([0.5]))
 
     def test_materialize_rejects_unknown_payload(self):
         spec = reference_spec(4)

@@ -10,6 +10,7 @@ metric-level constructions straight to the clustering logic.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from staticgeo.static_verifier import (
     ANALYTIC,
     LABELS,
     ODE_BACKED,
+    Channel,
+    ResidualReport,
     ToleranceProfile,
     check_lemma41,
     classify,
@@ -178,6 +181,15 @@ class TestResidualReport:
                 "argmax_s": ch.argmax_s,
             }
 
+    def test_max_sup_propagates_nan_in_any_position(self):
+        grid = np.array([0.0, 0.5])
+        finite = Channel(1.0, 0, 0.0)
+        nan = Channel(math.nan, 1, 0.5)
+        assert math.isnan(ResidualReport({"a": finite, "b": nan}, grid).max_sup())
+        assert math.isnan(ResidualReport({"a": nan, "b": finite}, grid).max_sup())
+        assert ResidualReport({"a": finite}, grid).max_sup() == 1.0
+        assert ResidualReport({}, grid).max_sup() == 0.0
+
     def test_channels_are_read_only(self, entry_by_name):
         e = entry_by_name["flat"]
         report = static_residual(e.spec, e.lapse)
@@ -227,12 +239,6 @@ class TestStaticChannels:
 
 
 class TestHarmonicChannels:
-    def test_lapse_argument_is_ignored(self, entry_by_name):
-        e = entry_by_name["round_sphere"]
-        with_f = harmonic_residual(e.spec, e.lapse)
-        without = harmonic_residual(e.spec)
-        assert with_f.to_dict() == without.to_dict()
-
     def test_adhoc_two_block_spec_fails_loudly(self, adhoc_nonstatic):
         report = harmonic_residual(adhoc_nonstatic)
         assert report.max_sup() >= 1e-2
@@ -380,6 +386,56 @@ class TestSampledEntries:
 
 
 # ---------------------------------------------------------------------------
+# One spectrum evaluation per answer
+
+
+def merged_families(spec, lapse):
+    return (
+        static_residual(spec, lapse)
+        .merge(harmonic_residual(spec))
+        .merge(integrability_residual(spec))
+    )
+
+
+class TestOneFrame:
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_verify_pair_equals_the_merged_families(self, entry_by_name, name, grid):
+        e = entry_by_name[name]
+        spec = replace(e.spec, grid_points=grid)
+        got = verify_pair(spec, e.lapse)
+        want = merged_families(spec, e.lapse)
+        assert list(got.channels) == list(want.channels)
+        assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("name, num", [("round_sphere", 513), ("type_ii", 1025)])
+    def test_resampled_verify_pair_equals_the_merged_families(
+        self, entry_by_name, name, num
+    ):
+        spec, lapse = resampled(entry_by_name[name], num)
+        got = verify_pair(spec, lapse)
+        want = merged_families(spec, lapse)
+        assert list(got.channels) == list(want.channels)
+        assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_frame_per_answer(self, entry_by_name, frame_builds, name):
+        e = entry_by_name[name]
+        verify_pair(e.spec, e.lapse)
+        assert len(frame_builds) == 1
+        classify(e.spec, e.lapse)
+        assert len(frame_builds) == 2
+
+    def test_label_carries_the_report_it_gated_on(self, entry_by_name):
+        e = entry_by_name["type_iv"]
+        got = classify(e.spec, e.lapse)
+        assert got.report.to_dict() == verify_pair(e.spec, e.lapse).to_dict()
+        assert "report" not in got.to_dict()
+        assert "report" not in repr(got)
+        assert got == replace(got, report=static_residual(e.spec, e.lapse))
+
+
+# ---------------------------------------------------------------------------
 # Classification: refusal branches
 
 
@@ -389,6 +445,21 @@ class TestClassifyRefusals:
         got = classify(e.spec, UNIT_LAPSE)
         assert got.label == "Invalid"
         assert got.detail.startswith("residual gate failed: static_11")
+
+    def test_nan_residual_fails_the_gate(self):
+        # The warping vanishes at s = 0, so the spectrum there is NaN.
+        w = make_analytic_warping("sin-scaled", (1.0, 1.0))
+        spec = WarpedProductSpec(
+            blocks=(FiberBlock(4, w, "space_form", 1.0),),
+            domain=(-1.0, 1.0),
+            grid_points=1025,
+        )
+        with np.errstate(all="ignore"):
+            got = classify(spec, make_lapse("sin-cos", (0.0, 1.0, 1.0)))
+        assert math.isnan(got.report.max_sup())
+        assert got.label == "Invalid"
+        assert got.detail.startswith("residual gate failed")
+        assert got.detail.endswith("sup nan")
 
     def test_three_distinct_rigid_blocks(self):
         spec = WarpedProductSpec(
