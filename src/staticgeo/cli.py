@@ -198,16 +198,15 @@ def _report_columns(spec, lapse):
     margin = GRID_MARGIN_STEPS * spec.step
     s = np.linspace(spec.domain[0] + margin, spec.domain[1] - margin, spec.grid_points)
     d, fs, stat, d_tensor = sv._static_rows(spec, lapse, s)
-    h = [np.broadcast_to(b.warping.value(s), s.shape) for b in spec.blocks]
 
     def per_block(prefix, rows):
         return [(f"{prefix}_{j}", row) for j, row in enumerate(rows)]
 
     return (
-        [("s", s)] + per_block("h", h) + per_block("xi", d.xi[0])
+        [("s", s)] + per_block("h", d.h[0]) + per_block("xi", d.xi[0])
         + [("lambda1", d.lambda_1[0])] + per_block("lambda", d.lambda_block[0])
         + [("R", d.scalar[0]), ("f", fs[0]), ("static_11", stat["static_11"])]
-        + per_block("static", [stat[f"static_block[{j}]"] for j in range(len(h))])
+        + per_block("static", [stat[f"static_block[{j}]"] for j in range(len(d_tensor))])
         + per_block("D", d_tensor)
     )
 

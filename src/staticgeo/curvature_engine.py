@@ -20,7 +20,9 @@ contraction sum_k R_{akak} reproduce lambda_a; a unit test enforces this.
 
 Derivatives of the classes are computed with truncated Taylor jets, so
 first and second derivatives of eigenvalue profiles are exact given the
-warping's derivative tower (no finite differencing happens here).
+warping's derivative tower (no finite differencing happens here).  Each
+public operation below reads one jet tower (`_Frame`), and each answer
+and dense audit in static_verifier builds exactly one.
 
 Scalar s arguments or 1-d grids are both accepted; outputs carry the
 grid axes last, block axes first.
@@ -146,7 +148,8 @@ class _Frame:
 
     All jets are arrays of shape (order+1, B) + S with the jet axis first
     and the block axis second, so jet arithmetic broadcasts across blocks
-    and evaluation points alike.
+    and evaluation points alike.  One frame feeds a whole answer or dense
+    audit: h, xi, Ricci, Weyl, Cotton, Bach and D jets all come from it.
     """
 
     def __init__(self, spec: WarpedProductSpec, s, lam_order: int, what: str):
@@ -157,7 +160,7 @@ class _Frame:
         horder = lam_order + 2
         for b in spec.blocks:
             _require_order(b.warping, horder, what)
-        h = jet_from_derivatives(
+        self.h = h = jet_from_derivatives(
             [
                 np.stack(
                     [
@@ -215,6 +218,35 @@ class _Frame:
         rows = min(prod.shape[0], d_a.shape[0])
         return prod[:rows] - d_a[:rows]
 
+    def d_tensor_jets(self, fj: np.ndarray) -> np.ndarray:
+        """D_{a1a} = f' _d_factor as a jet, from a lapse jet fj one order above it."""
+        return jmul(jder(fj)[:, None], _d_factor(self.n, self.lam1, self.lam, self.scal))
+
+    def bach(self) -> DiagonalTwoTensor:
+        """bach_spectrum's values; needs lam_order >= 2 and space-form fibers."""
+        nm2, dims, xi0, lam0 = self.n - 2.0, self.dims, self.xi[0], self.lam[0]
+        c = self.cotton_jets()         # jet order 1
+        w_base, w_intra, w_cross = self.weyl_jets()
+
+        # (div C)_11 = -sum_j r_j c_j xi_j ; contraction with Ricci adds
+        # sum_j r_j lambda_j W_{1a1a}.
+        div_c_11 = -np.sum(dims * c[0] * xi0, axis=0)
+        ric_w_11 = np.sum(dims * lam0 * w_base[0], axis=0)
+        b_11 = (div_c_11 + ric_w_11) / nm2
+
+        # (div C)_aa = -c_a' - c_a (sum_i xi_i - xi_a); the Ricci contraction
+        # collects the base, intra-block and cross-block conformal classes.
+        div_c_aa = -jder(c)[0] - c[0] * (self.trace[0][None] - xi0)
+        w_intra0 = np.where(np.isnan(w_intra[0]), 0.0, w_intra[0])
+        w_cross0 = np.where(np.isnan(w_cross[0]), 0.0, w_cross[0])
+        ric_w_aa = (
+            self.lam1[0][None] * w_base[0]
+            + (dims - 1.0) * lam0 * w_intra0
+            + np.sum((dims * lam0)[None, ...] * w_cross0, axis=1)
+        )
+        b_aa = (div_c_aa + ric_w_aa) / nm2
+        return DiagonalTwoTensor(b_11, b_aa)
+
 
 # ---------------------------------------------------------------------------
 # Pointwise class operations
@@ -250,13 +282,15 @@ class SpectrumDerivatives:
 
     Row d holds the d-th derivative (true derivatives, not Taylor
     coefficients).  Shapes: lambda_1 and scalar (order+1,) + S,
-    lambda_block and xi (order+1, B) + S.
+    lambda_block and xi (order+1, B) + S, and the warpings h
+    (order+2, B) + S, whose rows 0-2 equal the warpings' own derivatives.
     """
 
     lambda_1: np.ndarray
     lambda_block: np.ndarray
     scalar: np.ndarray
     xi: np.ndarray
+    h: np.ndarray
 
 
 def eigenvalue_derivatives(
@@ -268,12 +302,8 @@ def eigenvalue_derivatives(
     arithmetic, so an order-1 request costs warping derivatives up to 3.
     """
     fr = _Frame(spec, s, order, "eigenvalue_derivatives")
-    return SpectrumDerivatives(
-        derivatives_from_jet(fr.lam1),
-        derivatives_from_jet(fr.lam),
-        derivatives_from_jet(fr.scal),
-        derivatives_from_jet(fr.xi[: order + 1]),
-    )
+    jets = (fr.lam1, fr.lam, fr.scal, fr.xi[: order + 1], fr.h[: order + 2])
+    return SpectrumDerivatives(*(derivatives_from_jet(j) for j in jets))
 
 
 def _d_factor(n: int, lambda_1, lambda_block, scalar) -> np.ndarray:
@@ -291,9 +321,7 @@ def d_tensor_derivatives(
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
     _require_order(f, order + 1, "d_tensor_derivatives")
     fr = _Frame(spec, s, order, "d_tensor_derivatives")
-    fp = jder(jet_of(f, fr.s, order + 1))
-    combo = _d_factor(spec.n, fr.lam1, fr.lam, fr.scal)
-    return derivatives_from_jet(jmul(fp[:, None], combo))
+    return derivatives_from_jet(fr.d_tensor_jets(jet_of(f, fr.s, order + 1)))
 
 
 def riemann_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
@@ -312,9 +340,7 @@ def schouten_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
 def weyl_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     """Conformal curvature classes (same index patterns as the Riemann part)."""
     _check_fiber_data(spec)
-    fr = _Frame(spec, s, 0, "weyl_classes")
-    w_base, w_intra, w_cross = fr.weyl_jets()
-    return RiemannClasses(w_base[0], w_intra[0], w_cross[0])
+    return RiemannClasses(*(w[0] for w in _Frame(spec, s, 0, "weyl_classes").weyl_jets()))
 
 
 def cotton_classes(spec: WarpedProductSpec, s) -> MixedThreeTensor:
@@ -343,35 +369,7 @@ def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
     block-constant component functions.
     """
     _check_fiber_data(spec)
-    fr = _Frame(spec, s, 2, "bach_spectrum")
-    nm2 = spec.n - 2.0
-    dims = fr.dims
-    c = fr.cotton_jets()           # jet order 1
-    w_base, w_intra, w_cross = fr.weyl_jets()
-    xi0 = fr.xi[0]
-    lam0 = fr.lam[0]
-    lam1 = fr.lam1[0]
-    tr0 = fr.trace[0]
-
-    # (div C)_11 = -sum_j r_j c_j xi_j ; contraction with Ricci adds
-    # sum_j r_j lambda_j W_{1a1a}.
-    div_c_11 = -np.sum(dims * c[0] * xi0, axis=0)
-    ric_w_11 = np.sum(dims * lam0 * w_base[0], axis=0)
-    b_11 = (div_c_11 + ric_w_11) / nm2
-
-    # (div C)_aa = -c_a' - c_a (sum_i xi_i - xi_a); the Ricci contraction
-    # collects the base, intra-block and cross-block conformal classes.
-    c_prime = jder(c)[0]
-    div_c_aa = -c_prime - c[0] * (tr0[None] - xi0)
-    w_intra0 = np.where(np.isnan(w_intra[0]), 0.0, w_intra[0])
-    w_cross0 = np.where(np.isnan(w_cross[0]), 0.0, w_cross[0])
-    ric_w_aa = (
-        lam1[None] * w_base[0]
-        + (dims - 1.0) * lam0 * w_intra0
-        + np.sum((dims * lam0)[None, ...] * w_cross0, axis=1)
-    )
-    b_aa = (div_c_aa + ric_w_aa) / nm2
-    return DiagonalTwoTensor(b_11, b_aa)
+    return _Frame(spec, s, 2, "bach_spectrum").bach()
 
 
 def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
@@ -385,17 +383,12 @@ def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
         raise BadRange(f"Weyl-divergence route needs n >= 4, got n={spec.n}")
     _check_fiber_data(spec)
     fr = _Frame(spec, s, 1, "cotton_from_weyl_divergence")
-    w_base, w_intra, w_cross = fr.weyl_jets()
-    w_now = RiemannClasses(w_base[0], w_intra[0], w_cross[0])
-    w_dot = RiemannClasses(*(jder(j)[0] for j in (w_base, w_intra, w_cross)))
-    W = materialize_full(w_now, spec)
-    Wp = materialize_full(w_dot, spec)
-    G = frame_connection(spec, fr.s)
-    div = dense_weyl_divergence(W, Wp, G)
-    dense_c = -(spec.n - 2.0) / (spec.n - 3.0) * div
-    offs = spec.block_offsets()
-    vals = np.stack([dense_c[..., a, 0, a] for a in offs], axis=0)
-    return MixedThreeTensor(vals)
+    w = fr.weyl_jets()
+    W = materialize_full(RiemannClasses(*(j[0] for j in w)), spec)
+    Wp = materialize_full(RiemannClasses(*(jder(j)[0] for j in w)), spec)
+    div = dense_weyl_divergence(W, Wp, _connection(spec, fr.xi[0]))
+    c = -(spec.n - 2.0) / (spec.n - 3.0) * div
+    return MixedThreeTensor(np.stack([c[..., a, 0, a] for a in spec.block_offsets()]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +460,14 @@ def frame_connection(spec: WarpedProductSpec, s) -> np.ndarray:
     out of every covariant derivative of block-constant tensors, which is
     validated against dense oracles in the test suite.
     """
-    s = _check_domain(spec, s)
-    xi = xi_profile(spec, s)
+    return _connection(spec, xi_profile(spec, s))
+
+
+def _connection(spec: WarpedProductSpec, xi: np.ndarray) -> np.ndarray:
+    """frame_connection from per-block xi of shape (B,) + S."""
     n = spec.n
     owner = _block_of_index(spec)
-    out = np.zeros(s.shape + (n, n, n))
+    out = np.zeros(xi.shape[1:] + (n, n, n))
     for a in range(1, n):
         out[..., 0, a, a] = xi[owner[a]]
         out[..., a, 0, a] = -xi[owner[a]]

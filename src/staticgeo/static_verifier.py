@@ -7,7 +7,9 @@ they stay finite across zeros of f.
 
 One spectrum evaluation (ce.eigenvalue_derivatives, a single curvature
 frame) feeds every channel of an answer: verify_pair's static, harmonic
-and integrability channels, and classify's gate, clusters and D-tensor.
+and integrability channels, and classify's gate, clusters, D-tensor and
+warping rows.  Each dense audit (identity_dcw, identity_db,
+check_lemma41) likewise reads one frame for all of its tensors.
 
 The classification looks at how many distinct values the fiber Ricci
 eigenvalues take and which blocks warp.  Label strings, including
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import curvature_engine as ce
 from .errors import WrongBlockCount
+from .jets import derivatives_from_jet, jet_of
 from .warped_geometry import LapseFunction, WarpedProductSpec
 
 __all__ = [
@@ -233,6 +236,16 @@ def integrability_residual(spec: WarpedProductSpec) -> ResidualReport:
     return _report(_integrability_channels(spec, d), s)
 
 
+def _block_channels(prefix: str, res: np.ndarray, spec: WarpedProductSpec, s) -> dict:
+    """Per-block channels: sup of |res| over the frame rows each block owns."""
+    owner = ce._block_of_index(spec)
+    rows = np.abs(res).reshape(s.size, spec.n, -1).max(axis=2)
+    return {
+        f"{prefix}[{j}]": _channel(rows[:, owner == j].max(axis=1), s)
+        for j in range(len(spec.blocks))
+    }
+
+
 def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """Dense residual of f C_ijk = f_l W_lijk + D_ijk.
 
@@ -240,20 +253,16 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     exercised, then attributed back to blocks through the first index.
     """
     s = spec.evaluation_grid()
-    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
-    W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
-    D = ce.materialize_full(ce.d_tensor_classes(spec, f, s), spec)
-    f0 = np.asarray(f.value(s), dtype=float)[..., None, None, None]
-    f1 = np.asarray(f.derivative(s, 1), dtype=float)[..., None, None, None]
+    fr = ce._Frame(spec, s, 1, "identity_dcw")
+    ce._check_fiber_data(spec)
+    ce._require_order(f, 1, "identity_dcw")
+    fj = jet_of(f, s, 1)
+    C = ce.materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    W = ce.materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
+    D = ce.materialize_full(ce.MixedThreeTensor(fr.d_tensor_jets(fj)[0]), spec)
+    f0, f1 = fj[..., None, None, None]
     res = f0 * C - f1 * W[..., 0, :, :, :] - D
-    owner = ce._block_of_index(spec)
-    channels = {}
-    for j in range(len(spec.blocks)):
-        rows = res[..., owner == j, :, :]
-        channels[f"dcw_block[{j}]"] = _channel(
-            np.max(np.abs(rows), axis=tuple(range(1, rows.ndim))), s
-        )
-    return ResidualReport(channels, s)
+    return ResidualReport(_block_channels("dcw_block", res, spec, s), s)
 
 
 def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
@@ -264,25 +273,22 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """
     s = spec.evaluation_grid()
     n = spec.n
-    B = ce.materialize_full(ce.bach_spectrum(spec, s), spec)
-    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
-    d_der = ce.d_tensor_derivatives(spec, f, s, order=1)
-    D = ce.materialize_full(ce.MixedThreeTensor(d_der[0]), spec)
-    Dp = ce.materialize_full(ce.MixedThreeTensor(d_der[1]), spec)
-    G = ce.frame_connection(spec, s)
-    div_d = ce.dense_three_tensor_divergence(D, Dp, G)
-    f0 = np.asarray(f.value(s), dtype=float)
-    f1 = np.asarray(f.derivative(s, 1), dtype=float)
+    ce._check_fiber_data(spec)
+    fr = ce._Frame(spec, s, 2, "identity_db")
+    ce._require_order(f, 2, "identity_db")
+    fj = jet_of(f, s, 2)
+    B = ce.materialize_full(fr.bach(), spec)
+    C = ce.materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    D, Dp = (
+        ce.materialize_full(ce.MixedThreeTensor(row), spec)
+        for row in derivatives_from_jet(fr.d_tensor_jets(fj))
+    )
+    div_d = ce.dense_three_tensor_divergence(D, Dp, ce._connection(spec, fr.xi[0]))
+    f0, f1 = fj[:2, ..., None, None]
     mix = C[..., :, :, 0] + (n - 3.0) / (n - 2.0) * np.swapaxes(C, -3, -2)[..., :, :, 0]
-    res = (n - 2.0) * f0[..., None, None] * B - div_d + f1[..., None, None] * mix
-    owner = ce._block_of_index(spec)
-    channels = {"db_11": _channel(res[..., 0, 0], s)}
-    for j in range(len(spec.blocks)):
-        rows = res[..., owner == j, :]
-        channels[f"db_block[{j}]"] = _channel(
-            np.max(np.abs(rows), axis=tuple(range(1, rows.ndim))), s
-        )
-    return ResidualReport(channels, s)
+    res = (n - 2.0) * f0 * B - div_d + f1 * mix
+    db_11 = {"db_11": _channel(res[..., 0, 0], s)}
+    return ResidualReport(db_11 | _block_channels("db_block", res, spec, s), s)
 
 
 def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
@@ -304,10 +310,8 @@ def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     r1, r2 = float(b1.dim), float(b2.dim)
     X, Y = d.xi[0, 0], d.xi[0, 1]
     Xp, Yp = d.xi[1, 0], d.xi[1, 1]
-    f0 = np.asarray(f.value(s), dtype=float)
-    f1 = np.asarray(f.derivative(s, 1), dtype=float)
-    h1 = np.asarray(b1.warping.value(s), dtype=float)
-    h2 = np.asarray(b2.warping.value(s), dtype=float)
+    f0, f1 = jet_of(f, s, 1)
+    h1, h2 = d.h[0]
     sum_xi = r1 * X + r2 * Y
     curv_gap = (r1 - 1.0) * b1.k / h1**2 - (r2 - 1.0) * b2.k / h2**2
     lem46 = (2.0 * f1 + f0 * (sum_xi - X - Y)) * (X - Y) - f0 * curv_gap
@@ -391,7 +395,7 @@ def classify(
     if tol is None:
         tol = tier_for(spec, f)
     report = verify_pair(spec, f)
-    (d, fs), s = report._evaluation, report.grid
+    d, fs = report._evaluation
     lam1, lam_blk, scal, xi = d.lambda_1[0], d.lambda_block[0], d.scalar[0], d.xi[0]
     dims = [b.dim for b in spec.blocks]
     scale = max(float(np.max(np.abs(lam_blk))), float(np.max(np.abs(lam1))), 1e-12)
@@ -459,7 +463,7 @@ def classify(
     if const_dim == 1 and abs(R) > tol.structure * scale:
         return made("Invalid", "line-type constant factor needs R = 0")
     c1 = R / ((spec.n - 1.0) * (r1 + 1.0))
-    h, hp, hpp = _rows(wb.warping, s)
+    h, hp, hpp = d.h[:3, warp_cl[0]]
     c0_profile = (hpp + c1 * h) * h**r1
     c0 = float(np.median(c0_profile))
     if float(np.max(np.abs(c0_profile - c0))) > tol.structure * max(1.0, abs(c0)):

@@ -20,8 +20,10 @@ from staticgeo.errors import (
     OutOfDomain,
 )
 from staticgeo.profiles import PolynomialProfile, SampledProfile
+from staticgeo.static_verifier import check_lemma41, identity_db, identity_dcw
 from staticgeo.warped_geometry import (
     FiberBlock,
+    LapseFunction,
     WarpedProductSpec,
     WarpingFunction,
     make_analytic_warping,
@@ -367,6 +369,13 @@ class TestEngineErrors:
             ce.riemann_classes(spec, s)
         with pytest.raises(InsufficientFiberData):
             ce.weyl_classes(spec, s)
+        # So are the dense audits that need the full curvature.
+        with pytest.raises(InsufficientFiberData):
+            ce.cotton_from_weyl_divergence(spec, s)
+        with pytest.raises(InsufficientFiberData):
+            identity_dcw(spec, reference_lapse())
+        with pytest.raises(InsufficientFiberData):
+            identity_db(spec, reference_lapse())
 
     def test_dimension_two_einstein_fiber_is_exempt(self):
         spec = self.abstract_spec(2)
@@ -379,31 +388,68 @@ class TestEngineErrors:
             ce.xi_profile(spec, np.array([lo]))
         with pytest.raises(OutOfDomain):
             ce.ricci_spectrum(spec, np.array([hi]))
+        for outside in (np.array([lo]), np.array([0.5 * (lo + hi), hi])):
+            with pytest.raises(OutOfDomain):
+                ce.cotton_from_weyl_divergence(spec, outside)
+            with pytest.raises(OutOfDomain):
+                ce.frame_connection(spec, outside)
+            with pytest.raises(OutOfDomain):
+                ce.bach_spectrum(spec, outside)
+            with pytest.raises(OutOfDomain):
+                ce.d_tensor_derivatives(spec, reference_lapse(), outside)
 
     def test_derivative_tower_limit_surfaces(self):
         grid = np.linspace(-1.0, 3.0, 801)
         prof = SampledProfile(grid[0], grid[1] - grid[0], np.exp(0.1 * grid))
-        spec = WarpedProductSpec(
-            blocks=(FiberBlock(3, WarpingFunction("sampled", (), 4, prof),
-                               "space_form", 1.0),),
-            domain=(0.2, 1.8),
-            grid_points=64,
-        )
+
+        def spec_with(order, second_block=()):
+            return WarpedProductSpec(
+                blocks=(FiberBlock(3, WarpingFunction("sampled", (), order, prof),
+                                   "space_form", 1.0),) + second_block,
+                domain=(0.2, 1.8),
+                grid_points=64,
+            )
+
+        spec = spec_with(4)
         s = np.array([1.0])
         # Order 1 eigenvalue derivatives need warping order 3: fine.
         ce.eigenvalue_derivatives(spec, s, order=1)
         with pytest.raises(DerivativeOrderUnavailable):
             ce.eigenvalue_derivatives(spec, s, order=3)
+        # identity_db reads an order-2 frame (warping order 4), the other
+        # audits an order-1 frame (warping order 3).
+        identity_db(spec, reference_lapse())
+        low = spec_with(3)
+        identity_dcw(low, reference_lapse())
+        with pytest.raises(DerivativeOrderUnavailable):
+            identity_db(low, reference_lapse())
+        lower = spec_with(2, (FiberBlock(1, make_analytic_warping("constant", (1.0,))),))
+        for audit in (identity_dcw, identity_db, check_lemma41):
+            with pytest.raises(DerivativeOrderUnavailable):
+                audit(lower, reference_lapse())
+        with pytest.raises(DerivativeOrderUnavailable):
+            ce.cotton_from_weyl_divergence(lower, s)
+        # The lapse: identity_dcw needs it to order 1, identity_db to order 2.
+        lapse = reference_lapse()
+        first_order = LapseFunction(lapse.kind, lapse.params, 1, lapse.profile)
+        identity_dcw(spec, first_order)
+        with pytest.raises(DerivativeOrderUnavailable):
+            identity_db(spec, first_order)
+        values_only = LapseFunction(lapse.kind, lapse.params, 0, lapse.profile)
+        for audit in (identity_dcw, identity_db):
+            with pytest.raises(DerivativeOrderUnavailable):
+                audit(spec, values_only)
 
     def test_weyl_divergence_route_needs_n_at_least_4(self):
-        spec = WarpedProductSpec(
-            blocks=(FiberBlock(2, make_analytic_warping("cosh-scaled", (1.0, 1.0)),
-                               "space_form", 1.0),),
-            domain=(0.0, 1.0),
-            grid_points=64,
-        )
-        with pytest.raises(BadRange):
-            ce.cotton_from_weyl_divergence(spec, np.array([0.5]))
+        for dim in (1, 2):
+            spec = WarpedProductSpec(
+                blocks=(FiberBlock(dim, make_analytic_warping("cosh-scaled", (1.0, 1.0)),
+                                   "space_form", 1.0),),
+                domain=(0.0, 1.0),
+                grid_points=64,
+            )
+            with pytest.raises(BadRange):
+                ce.cotton_from_weyl_divergence(spec, np.array([0.5]))
 
     def test_materialize_rejects_unknown_payload(self):
         spec = reference_spec(4)

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from staticgeo import curvature_engine as ce
 from staticgeo.catalog import CATALOG_NAMES, build_entry
 from staticgeo.errors import WrongBlockCount
 from staticgeo.ode_solver import WarpingODEParams, integrate_warping, lapse_from_warping
@@ -433,6 +434,145 @@ class TestOneFrame:
         assert "report" not in got.to_dict()
         assert "report" not in repr(got)
         assert got == replace(got, report=static_residual(e.spec, e.lapse))
+
+
+# ---------------------------------------------------------------------------
+# One curvature frame per dense audit
+
+
+def reference_audits(spec, lapse):
+    """identity_dcw and identity_db rebuilt from the public class operations.
+
+    Each tensor comes from its own public call (so from its own frame),
+    and the connection from frame_connection's xi_profile path.
+    """
+    s = spec.evaluation_grid()
+    n = spec.n
+    owner = np.repeat(np.arange(-1, len(spec.blocks)), [1] + [b.dim for b in spec.blocks])
+    f0 = np.asarray(lapse.value(s), dtype=float)
+    f1 = np.asarray(lapse.derivative(s, 1), dtype=float)
+
+    def channel(values):
+        flat = np.abs(values)
+        i = int(np.argmax(flat))
+        return Channel(float(flat[i]), i, float(s[i]))
+
+    def per_block(prefix, res):
+        return {
+            f"{prefix}[{j}]": channel(
+                np.max(np.abs(res[:, owner == j]), axis=tuple(range(1, res.ndim)))
+            )
+            for j in range(len(spec.blocks))
+        }
+
+    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
+    W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
+    D = ce.materialize_full(ce.d_tensor_classes(spec, lapse, s), spec)
+    dcw = f0[:, None, None, None] * C - f1[:, None, None, None] * W[:, 0] - D
+
+    B = ce.materialize_full(ce.bach_spectrum(spec, s), spec)
+    d_der = ce.d_tensor_derivatives(spec, lapse, s, order=1)
+    D, Dp = (ce.materialize_full(ce.MixedThreeTensor(row), spec) for row in d_der)
+    div_d = ce.dense_three_tensor_divergence(D, Dp, ce.frame_connection(spec, s))
+    mix = C[..., 0] + (n - 3.0) / (n - 2.0) * np.swapaxes(C, 1, 2)[..., 0]
+    db = (n - 2.0) * f0[:, None, None] * B - div_d + f1[:, None, None] * mix
+    db_channels = {"db_11": channel(db[:, 0, 0]), **per_block("db_block", db)}
+    return (
+        ResidualReport(per_block("dcw_block", dcw), s),
+        ResidualReport(db_channels, s),
+    )
+
+
+def weyl_route(spec, lapse):
+    return ce.cotton_from_weyl_divergence(spec, spec.evaluation_grid())
+
+
+AUDITS = {
+    "identity_dcw": identity_dcw,
+    "identity_db": identity_db,
+    "check_lemma41": check_lemma41,
+    "cotton_from_weyl_divergence": weyl_route,
+}
+
+
+def audit_cases():
+    for name in CATALOG_NAMES:
+        for audit in AUDITS:
+            if audit != "check_lemma41" or name in ("type_ii", "type_iii", "type_iv"):
+                yield name, audit
+
+
+@pytest.fixture
+def warping_calls(monkeypatch):
+    """One flag per warping evaluation while the test runs: True inside a frame build."""
+    calls = []
+    inside = []
+    init = ce._Frame.__init__
+
+    def framed(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording(method):
+        def call(self, *args):
+            calls.append(bool(inside))
+            return method(self, *args)
+
+        return call
+
+    monkeypatch.setattr(ce._Frame, "__init__", framed)
+    for name in ("value", "derivative"):
+        monkeypatch.setattr(WarpingFunction, name, recording(getattr(WarpingFunction, name)))
+    return calls
+
+
+class TestOneFramePerAudit:
+    @pytest.mark.parametrize("name, audit", list(audit_cases()))
+    def test_one_frame_and_no_xi_profile_pass(
+        self, entry_by_name, frame_builds, monkeypatch, name, audit
+    ):
+        xi_calls = []
+        xi_profile = ce.xi_profile
+        monkeypatch.setattr(
+            ce, "xi_profile", lambda *args: xi_calls.append(args) or xi_profile(*args)
+        )
+        e = entry_by_name[name]
+        AUDITS[audit](e.spec, e.lapse)
+        assert len(frame_builds) == 1
+        assert xi_calls == []
+
+    @pytest.mark.parametrize("answer", [classify, check_lemma41])
+    def test_warping_rows_come_from_the_frame(self, entry_by_name, warping_calls, answer):
+        e = entry_by_name["type_iv"]
+        answer(e.spec, e.lapse)
+        assert warping_calls and all(warping_calls)
+
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_audits_equal_the_reference_route(self, entry_by_name, name, grid):
+        e = entry_by_name[name]
+        spec = replace(e.spec, grid_points=grid)
+        want_dcw, want_db = reference_audits(spec, e.lapse)
+        got_dcw, got_db = identity_dcw(spec, e.lapse), identity_db(spec, e.lapse)
+        assert list(got_dcw.channels) == list(want_dcw.channels)
+        assert got_dcw.to_dict() == want_dcw.to_dict()
+        assert list(got_db.channels) == list(want_db.channels)
+        assert got_db.to_dict() == want_db.to_dict()
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_warping_rows_are_the_warpings_own(self, entry_by_name, name, order):
+        spec = entry_by_name[name].spec
+        s = spec.evaluation_grid()
+        h = ce.eigenvalue_derivatives(spec, s, order).h
+        assert h.shape == (order + 2, len(spec.blocks)) + s.shape
+        for j, b in enumerate(spec.blocks):
+            for d in range(order + 2):
+                want = np.broadcast_to(b.warping.derivative(s, d), s.shape)
+                assert np.array_equal(h[d, j], want)
 
 
 # ---------------------------------------------------------------------------
