@@ -315,6 +315,11 @@ def _d_factor(n: int, lambda_1, lambda_block, scalar) -> np.ndarray:
     return ((n - 1.0) * lambda_block - scalar[:, None] + lambda_1[:, None]) / (n - 2.0)
 
 
+def _d_classes(n: int, fp: np.ndarray, lambda_1, lambda_block, scalar) -> np.ndarray:
+    """D_{a1a} = f' _d_factor at the points; the inputs carry no derivative rows."""
+    return fp[None] * _d_factor(n, lambda_1[None], lambda_block[None], scalar[None])[0]
+
+
 def d_tensor_derivatives(
     spec: WarpedProductSpec, f: LapseFunction, s, order: int = 1
 ) -> np.ndarray:
@@ -358,7 +363,7 @@ def d_tensor_classes(spec: WarpedProductSpec, f: LapseFunction, s) -> MixedThree
     _require_order(f, 1, "d_tensor_classes")
     fr = _Frame(spec, s, 0, "d_tensor_classes")
     fp = np.asarray(f.derivative(fr.s, 1), dtype=float)
-    return MixedThreeTensor(fp[None] * _d_factor(spec.n, fr.lam1, fr.lam, fr.scal)[0])
+    return MixedThreeTensor(_d_classes(spec.n, fp, fr.lam1[0], fr.lam[0], fr.scal[0]))
 
 
 def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:

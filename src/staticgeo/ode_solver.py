@@ -11,11 +11,13 @@ which doubles as the curvature constant the fiber must carry for the
 resulting geometry to close up; the catalog builders rely on that.
 
 Integration is classic fixed-step fourth-order Runge-Kutta (default step:
-domain length / 4096).  The returned warping evaluates between nodes by a
-single short Runge-Kutta step from the nearest stored node, and all
-derivatives of order two and higher come from the differential equation,
-never from finite differences, so the equation residual of the profile is
-zero by construction.
+domain length / 4096).  The node loops of the integration and of the orbit
+search run on Python floats in one kernel, `_rk4_states`.  The returned
+warping evaluates between nodes by one short step of the vectorised
+`_rk4_step`, whose arithmetic the kernel repeats operation for operation,
+from the nearest stored node; all derivatives of order two and higher come
+from the differential equation, never from finite differences, so the
+equation residual of the profile is zero by construction.
 
 Turning points and orbit crossings come from `_brentq`, a port of scipy's
 Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
@@ -23,6 +25,7 @@ Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -154,13 +157,38 @@ def _rk4_step(p, c1, c0, h, hp, dt):
 
 
 def _state_ok(c0: float, h: float, hp: float) -> bool:
-    if not (math.isfinite(h) and math.isfinite(hp)):
-        return False
-    if abs(h) > _STATE_CEIL or abs(hp) > _STATE_CEIL:
-        return False
-    if c0 != 0.0 and h <= _H_FLOOR:
-        return False
-    return True
+    # The ceiling comparisons are False for NaN and infinities as well.
+    return abs(h) <= _STATE_CEIL and abs(hp) <= _STATE_CEIL and (c0 == 0.0 or h > _H_FLOOR)
+
+
+def _rk4_states(p: int, c1: float, c0: float, h: float, hp: float, dt: float):
+    """Successive `_rk4_step` states from (h, hp), bit for bit, on Python floats.
+
+    Ends before the first state `_state_ok` (inlined) rejects; a power that
+    overflows or divides by zero rejects its state, as NumPy's inf would.
+    """
+    c1, c0, e = float(c1), float(c0), -float(p)
+    half, sixth, lin = 0.5 * dt, dt / 6.0, c0 == 0.0
+    ceil, floor = _STATE_CEIL, _H_FLOOR
+    try:
+        while True:
+            k1v = -c1 * h if lin else c0 * h ** e - c1 * h
+            k2h = hp + half * k1v
+            x = h + half * hp
+            k2v = -c1 * x if lin else c0 * x ** e - c1 * x
+            k3h = hp + half * k2v
+            x = h + half * k2h
+            k3v = -c1 * x if lin else c0 * x ** e - c1 * x
+            k4h = hp + dt * k3v
+            x = h + dt * k3h
+            k4v = -c1 * x if lin else c0 * x ** e - c1 * x
+            h += sixth * (hp + 2.0 * k2h + 2.0 * k3h + k4h)
+            hp += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (abs(h) <= ceil and abs(hp) <= ceil and (lin or h > floor)):
+                return
+            yield h, hp
+    except (ZeroDivisionError, OverflowError):
+        return
 
 
 class OdeBackedProfile(Profile):
@@ -182,19 +210,19 @@ class OdeBackedProfile(Profile):
         step = params.effective_step
         n_steps = max(1, math.ceil((hi - lo) / step - 1e-12))
         dt = (hi - lo) / n_steps
-        p, c1, c0 = params.power, params.linear_coeff, params.forcing
-        h = np.empty(n_steps + 1)
-        hp = np.empty(n_steps + 1)
-        h[0], hp[0] = params.h0, params.h0_prime
-        if not _state_ok(c0, h[0], hp[0]):
+        h0, hp0 = float(params.h0), float(params.h0_prime)
+        if not _state_ok(params.forcing, h0, hp0):
             raise BlowUp("initial state already inadmissible", lo)
-        for i in range(n_steps):
-            h[i + 1], hp[i + 1] = _rk4_step(p, c1, c0, h[i], hp[i], dt)
-            if not _state_ok(c0, h[i + 1], hp[i + 1]):
-                raise BlowUp(
-                    f"trajectory left the admissible region near s = {lo + (i + 1) * dt:g}",
-                    lo + i * dt,
-                )
+        states = _rk4_states(params.power, params.linear_coeff, params.forcing, h0, hp0, dt)
+        nodes = [(h0, hp0), *itertools.islice(states, n_steps)]
+        if len(nodes) <= n_steps:
+            i = len(nodes) - 1
+            raise BlowUp(
+                f"trajectory left the admissible region near s = {lo + (i + 1) * dt:g}",
+                lo + i * dt,
+            )
+        flat = itertools.chain.from_iterable(nodes)
+        h, hp = np.fromiter(flat, float, 2 * len(nodes)).reshape(-1, 2).T.copy()
         self.params = params
         self.s_lo, self.s_hi = lo, hi
         self.dt = dt
@@ -402,10 +430,7 @@ def find_periodic(
     s = 0.0
     h, hp = h_max, 0.0
     crossings = 0
-    while s < s_budget:
-        h_next, hp_next = _rk4_step(p, c1, c0, h, hp, dt)
-        if not _state_ok(c0, h_next, hp_next):
-            raise BlowUp(f"orbit search left admissible region near s = {s + dt:g}", s)
+    for h_next, hp_next in _rk4_states(p, c1, c0, h, hp, dt):
         if hp_next == 0.0 or (hp < 0.0 < hp_next) or (hp > 0.0 > hp_next):
             # h' changes sign inside (s, s + dt]; locate the crossing.
             def hp_at(delta: float) -> float:
@@ -425,5 +450,7 @@ def find_periodic(
                     period, h_min, h_max, float(k), integrate_warping(orbit)
                 )
         s += dt
+        if not s < s_budget:
+            return None
         h, hp = h_next, hp_next
-    return None
+    raise BlowUp(f"orbit search left admissible region near s = {s + dt:g}", s)

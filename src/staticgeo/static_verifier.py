@@ -171,14 +171,11 @@ def _integrability_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]
     }
 
 
-def _d_classes(spec: WarpedProductSpec, f1: np.ndarray, d) -> np.ndarray:
-    return f1[None] * ce._d_factor(spec.n, d.lambda_1, d.lambda_block, d.scalar)[0]
-
-
 def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s):
     """Order-0 spectrum, lapse rows, static channels and D classes from one frame."""
     d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s)
-    return d, fs, _static_channels(spec, fs, d), _d_classes(spec, fs[1], d)
+    dc = ce._d_classes(spec.n, fs[1], d.lambda_1[0], d.lambda_block[0], d.scalar[0])
+    return d, fs, _static_channels(spec, fs, d), dc
 
 
 def _report(point: dict[str, np.ndarray], s: np.ndarray) -> ResidualReport:
@@ -409,7 +406,7 @@ def classify(
     for cl_i, cl_j in itertools.combinations(clusters, 2):
         for a, b in itertools.product(cl_i, cl_j):
             xi_prod = max(xi_prod, float(np.max(np.abs(xi[a] * xi[b]))))
-    d_sup = float(np.max(np.abs(_d_classes(spec, fs[1], d))))
+    d_sup = float(np.max(np.abs(ce._d_classes(spec.n, fs[1], lam1, lam_blk, scal))))
 
     def made(label: str, detail: str) -> TypeLabel:
         return TypeLabel(label, m, mults, xi_prod, d_sup, detail, report)

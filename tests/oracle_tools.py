@@ -11,15 +11,34 @@ Two layers, deliberately built with different machinery than the package:
    Weyl, Cotton, the obstruction 3-tensor, Bach, contracted Bianchi)
    written with explicit Python loops and Kronecker deltas.  The package
    uses einsum and collapsed classes; these loops share none of that.
+
+3. The Runge-Kutta node loops of the warping solver written step by step
+   on NumPy scalars through the vectorised `_rk4_step`, with the
+   admissibility test spelled out check by check.  The package runs its
+   node loops on Python floats in one generator; these must agree with it
+   bit for bit, down to where and how a trajectory blows up.
 """
 
 from __future__ import annotations
+
+import math
 
 from functools import lru_cache
 
 import numpy as np
 import sympy as sp
 
+from staticgeo.errors import BlowUp
+from staticgeo.ode_solver import (
+    _H_FLOOR,
+    _STATE_CEIL,
+    DEFAULT_STEPS,
+    WarpingODEParams,
+    _brentq,
+    _potential,
+    _rk4_step,
+    turning_point,
+)
 from staticgeo.profiles import (
     ANALYTIC_ORDER,
     HyperbolicProfile,
@@ -333,3 +352,83 @@ def loop_div_ricci(
                 acc += G[m, j, j] * ric[m, i] + G[m, i, j] * ric[j, m]
         out[i] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Layer 3: Runge-Kutta node loops on NumPy scalars
+# ---------------------------------------------------------------------------
+
+
+def loop_state_ok(c0: float, h, hp) -> bool:
+    """Admissible state: finite, under the ceiling, above the floor if forced."""
+    if not (math.isfinite(h) and math.isfinite(hp)):
+        return False
+    if abs(h) > _STATE_CEIL or abs(hp) > _STATE_CEIL:
+        return False
+    if c0 != 0.0 and h <= _H_FLOOR:
+        return False
+    return True
+
+
+@np.errstate(all="ignore")
+def loop_ode_nodes(params: WarpingODEParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """(h_nodes, hp_nodes, dt) of OdeBackedProfile(params), one step at a time."""
+    lo, hi = params.domain
+    n_steps = max(1, math.ceil((hi - lo) / params.effective_step - 1e-12))
+    dt = (hi - lo) / n_steps
+    p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    h = np.empty(n_steps + 1)
+    hp = np.empty(n_steps + 1)
+    h[0], hp[0] = params.h0, params.h0_prime
+    if not loop_state_ok(c0, h[0], hp[0]):
+        raise BlowUp("initial state already inadmissible", lo)
+    for i in range(n_steps):
+        h[i + 1], hp[i + 1] = _rk4_step(p, c1, c0, h[i], hp[i], dt)
+        if not loop_state_ok(c0, h[i + 1], hp[i + 1]):
+            raise BlowUp(
+                f"trajectory left the admissible region near s = {lo + (i + 1) * dt:g}",
+                lo + i * dt,
+            )
+    return h, hp, dt
+
+
+@np.errstate(all="ignore")
+def loop_orbit_search(params: WarpingODEParams, k: float, closure_tol: float = 1e-8):
+    """find_periodic's (period, h_min, h_max, orbit params), or None, step by step."""
+    p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    if c1 <= 0.0 or c0 <= 0.0:
+        return None
+    h_star = (c0 / c1) ** (1.0 / (p + 1.0))
+    k_min = _potential(p, c1, c0, h_star)
+    if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
+        return None
+    h_max = turning_point(params, k, "outer")
+    h_min = turning_point(params, k, "inner")
+    t_lin = 2.0 * math.pi / math.sqrt((p + 1.0) * c1)
+    dt = params.step if params.step is not None else t_lin / DEFAULT_STEPS
+    s_budget = 64.0 * t_lin
+    s, h, hp, crossings = 0.0, np.float64(h_max), np.float64(0.0), 0
+    while s < s_budget:
+        h_next, hp_next = _rk4_step(p, c1, c0, h, hp, dt)
+        if not loop_state_ok(c0, h_next, hp_next):
+            raise BlowUp(f"orbit search left admissible region near s = {s + dt:g}", s)
+        if hp_next == 0.0 or (hp < 0.0 < hp_next) or (hp > 0.0 > hp_next):
+            h0, hp0 = float(h), float(hp)
+
+            def hp_at(delta: float) -> float:
+                return _rk4_step(p, c1, c0, h0, hp0, delta)[1]
+
+            delta = dt if hp_next == 0.0 else _brentq(hp_at, 0.0, dt)
+            crossings += 1
+            if crossings == 2:
+                period = s + delta
+                h_close = _rk4_step(p, c1, c0, h0, hp0, delta)[0]
+                if abs(h_close - h_max) > closure_tol * max(1.0, h_max):
+                    return None
+                orbit = WarpingODEParams(
+                    p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS
+                )
+                return period, h_min, h_max, orbit
+        s += dt
+        h, hp = h_next, hp_next
+    return None

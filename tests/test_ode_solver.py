@@ -12,17 +12,22 @@ Independent accuracy oracles used below:
   quadrature of the transformed integrand is trustworthy to ~1e-13;
 * p = 3 with c1 > 0 is the isochronous case: every orbit has period
   2 pi / sqrt(4 c1) no matter which k it carries, so the linearized
-  period formula is exact there.
+  period formula is exact there;
+* the node loops step by step on NumPy scalars (`oracle_tools`) must give
+  the same bits as the package's Python-float kernel.
 """
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from oracle_tools import loop_ode_nodes, loop_orbit_search, loop_state_ok
+from staticgeo import catalog
 from staticgeo.errors import (
     BadRange,
     BlowUp,
@@ -32,6 +37,8 @@ from staticgeo.errors import (
     ZeroScale,
 )
 from staticgeo.ode_solver import (
+    _H_FLOOR,
+    _STATE_CEIL,
     DEFAULT_STEPS,
     FirstIntegralValue,
     OdeBackedProfile,
@@ -43,6 +50,7 @@ from staticgeo.ode_solver import (
     _brentq,
     _potential,
     _rk4_step,
+    _state_ok,
     lapse_from_warping,
     turning_point,
 )
@@ -531,3 +539,195 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("k", [1.0, 5.0 / 3.0])
     def test_none_at_or_below_the_threshold(self, fiber_params, k):
         assert find_periodic(fiber_params, k) is None
+
+
+# ---------------------------------------------------------------------------
+# The Python-float node kernel against the NumPy-scalar oracle
+
+ODE_FAMILIES = ("example3", "example4", "example5", "type_iv")
+
+
+def family_params(rng: random.Random, name: str) -> dict:
+    """Builder arguments inside the validity conditions of each ODE family."""
+    u = rng.uniform
+    if name in ("example3", "example4"):
+        n, R, a = rng.randint(4, 7), u(10.0, 30.0), u(0.5, 2.0)
+        return {"n": n, "R": R, "a": a, "k": k0_threshold(n, R, a) * u(1.05, 1.5)}
+    if name == "example5":
+        return {"n": rng.randint(4, 7), "a": u(0.5, 2.0), "k": u(0.5, 2.0),
+                "length": u(0.8, 1.5)}
+    n = rng.randint(6, 8)
+    r = rng.randint(3, n - 2)
+    R, c0 = rng.choice((1.0, 1.0, -1.0)) * u(2.0, 10.0), u(0.5, 2.0)
+    if R < 0.0:
+        return {"n": n, "r": r, "R": R, "c0": c0, "k": u(-2.0, 2.0)}
+    c1 = WarpingODEParams.warped_factor(n, R, r - 1, c0, 1.0, 0.0, (0.0, 1.0)).linear_coeff
+    k_min = _potential(r - 1, c1, c0, (c0 / c1) ** (1.0 / r))
+    return {"n": n, "r": r, "R": R, "c0": c0, "k": k_min * u(1.1, 2.0)}
+
+
+def _ode_builds() -> list:
+    """Default and seeded builds of every ODE family, as pytest params."""
+    rng = random.Random(20240611)
+    cases = [pytest.param(name, {}, id=f"{name}-default") for name in ODE_FAMILIES]
+    for j in range(6):
+        cases += [
+            pytest.param(name, family_params(rng, name), id=f"{name}-{j}")
+            for name in ODE_FAMILIES
+        ]
+    return cases
+
+
+ODE_BUILDS = _ode_builds()
+ORBIT_BUILDS = [c for c in ODE_BUILDS if c.values[0] in ("example4", "type_iv")]
+
+
+def orbit_proto(name: str, args: dict) -> WarpingODEParams:
+    """The parameters a periodic builder hands to find_periodic."""
+    if name == "example4":
+        return WarpingODEParams.single_fiber(
+            args["n"], args["R"], args["a"], 1.0, 0.0, (0.0, 1.0)
+        )
+    return WarpingODEParams.warped_factor(
+        args["n"], args["R"], args["r"] - 1, args["c0"], 1.0, 0.0, (0.0, 1.0)
+    )
+
+
+def assert_same_nodes(profile: OdeBackedProfile, params: WarpingODEParams):
+    h, hp, dt = loop_ode_nodes(params)
+    assert np.array_equal(profile.h_nodes, h)
+    assert np.array_equal(profile.hp_nodes, hp)
+    assert profile.dt == dt
+
+
+def raised(fn) -> tuple[str, float]:
+    with pytest.raises(BlowUp) as info:
+        fn()
+    return str(info.value), info.value.last_valid_s
+
+
+# Inputs whose trajectories blow up: the three TestBlowUp cases, a stage
+# value that lands exactly on zero (0.0 ** -8 has no Python-float value)
+# and one whose power overflows.
+BLOWUP_INPUTS = [
+    WarpingODEParams(2, 0.0, -1.0, 1.0, 0.0, (0.0, 2.0)),
+    WarpingODEParams(2, -100.0, 0.0, 1.0, 0.0, (0.0, 3.0)),
+    WarpingODEParams(2, 0.0, 1.0, 1e-12, 0.0, (0.0, 1.0)),
+    WarpingODEParams(8, 0.0, 1.0, 1e-3, -0.2, (0.0, 1.0), 0.01),
+    WarpingODEParams(8, 0.0, 1.0, 1e-3, -0.19999999999999, (0.0, 1.0), 0.01),
+]
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("name,args", ODE_BUILDS)
+    def test_builder_nodes_equal_the_oracle(self, name, args):
+        entry = catalog.build_entry(name, **args)
+        profile = entry.spec.blocks[0].warping.profile
+        assert_same_nodes(profile, profile.params)
+        if entry.compact:
+            period, _, h_max, _ = loop_orbit_search(
+                orbit_proto(name, entry.params), entry.params["k"]
+            )
+            assert entry.period == period
+            assert profile.params.h0 == h_max
+
+    @pytest.mark.parametrize("name,args", ORBIT_BUILDS)
+    def test_orbit_search_equals_the_oracle(self, name, args):
+        args = catalog.build_entry(name, **args).params
+        proto = orbit_proto(name, args)
+        sol = find_periodic(proto, args["k"])
+        ref = loop_orbit_search(proto, args["k"])
+        if args["R"] <= 0.0:
+            assert sol is None and ref is None
+            return
+        period, h_min, h_max, orbit = ref
+        assert (sol.period, sol.h_min, sol.h_max) == (period, h_min, h_max)
+        assert_same_nodes(sol.warping.profile, orbit)
+
+    @pytest.mark.parametrize("step", [None, 0.05, 0.2])
+    @pytest.mark.parametrize("k", [1.8, 2.0, 5.0])
+    def test_orbit_search_at_other_steps(self, k, step):
+        proto = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), step)
+        sol, ref = find_periodic(proto, k), loop_orbit_search(proto, k)
+        assert (sol is None) == (ref is None)
+        if sol is not None:
+            assert (sol.period, sol.h_min, sol.h_max) == ref[:3]
+            assert_same_nodes(sol.warping.profile, ref[3])
+
+    @pytest.mark.parametrize("c1", [4.0, -4.0, 0.0])
+    def test_oscillator_nodes_equal_the_oracle(self, c1):
+        params = WarpingODEParams(2, c1, 0.0, -0.5, 1.5, (0.0, 2.0))
+        assert_same_nodes(OdeBackedProfile(params), params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            WarpingODEParams(2, 0.0, 0.0, _STATE_CEIL, 0.0, (0.0, 1.0)),
+            WarpingODEParams(2, 0.0, 0.0, 0.0, _STATE_CEIL, (0.0, 1e-3)),
+        ],
+        ids=["h-at-ceiling", "h'-at-ceiling"],
+    )
+    def test_states_on_the_ceiling_stay_admissible(self, params):
+        # With c1 = c0 = 0 a state at rest, or one drifting at constant
+        # velocity, keeps its value exactly on the ceiling, which is allowed.
+        assert_same_nodes(OdeBackedProfile(params), params)
+
+    @pytest.mark.parametrize("params", BLOWUP_INPUTS)
+    def test_blow_up_message_and_position(self, params):
+        got = raised(lambda: OdeBackedProfile(params))
+        assert got == raised(lambda: loop_ode_nodes(params))
+
+    def test_orbit_search_blow_up(self):
+        # A step of 0.4 against a linearized period near 2.8 throws the
+        # orbit at k = 50 out of the admissible region on the fourth step.
+        proto = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 0.4)
+        got = raised(lambda: find_periodic(proto, 50.0))
+        assert got == raised(lambda: loop_orbit_search(proto, 50.0))
+        assert got == ("orbit search left admissible region near s = 1.6", 1.2000000000000002)
+
+    def test_state_check_equals_the_oracle(self):
+        edges = [
+            math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
+            _H_FLOOR, math.nextafter(_H_FLOOR, math.inf),
+            _STATE_CEIL, math.nextafter(_STATE_CEIL, math.inf),
+            -_STATE_CEIL, math.nextafter(-_STATE_CEIL, -math.inf),
+        ]
+        for c0 in (0.0, 1.0, -1.0):
+            for h in edges:
+                for hp in edges:
+                    assert _state_ok(c0, h, hp) == loop_state_ok(c0, h, hp)
+
+
+class TestDenseOutputTie:
+    """`_rk4_step`, the dense-output step, must stay the node kernel's twin.
+
+    Called per node it reproduces every stored node bit for bit.  Called on
+    whole node arrays it does too when the equation has no power term; with
+    one, NumPy's vectorised `power` may round differently from the
+    C library's `pow` (on AVX-512 builds about 5% of values differ in the
+    last bit), so there h and h' agree to within an ulp of their largest
+    values.
+    """
+
+    @pytest.mark.parametrize("name,args", ODE_BUILDS)
+    def test_step_reproduces_the_nodes(self, name, args):
+        entry = catalog.build_entry(name, **args)
+        profile = entry.spec.blocks[0].warping.profile
+        pr, h, hp = profile.params, profile.h_nodes, profile.hp_nodes
+        coeffs = (pr.power, pr.linear_coeff, pr.forcing)
+        per_node = [
+            _rk4_step(*coeffs, float(a), float(b), profile.dt)
+            for a, b in zip(h[:-1], hp[:-1])
+        ]
+        assert np.array_equal(np.array(per_node), np.stack([h[1:], hp[1:]], axis=1))
+        for got, want in zip(_rk4_step(*coeffs, h[:-1], hp[:-1], profile.dt), (h, hp)):
+            ulp = np.finfo(float).eps * np.max(np.abs(want))
+            np.testing.assert_allclose(got, want[1:], rtol=0.0, atol=ulp)
+
+    @pytest.mark.parametrize("c1", [4.0, -4.0])
+    def test_vectorised_step_without_power(self, c1):
+        profile = OdeBackedProfile(WarpingODEParams(2, c1, 0.0, -0.5, 1.5, (0.0, 2.0)))
+        h, hp = profile.h_nodes, profile.hp_nodes
+        h_next, hp_next = _rk4_step(2, c1, 0.0, h[:-1], hp[:-1], profile.dt)
+        assert np.array_equal(h_next, h[1:])
+        assert np.array_equal(hp_next, hp[1:])

@@ -27,6 +27,7 @@ from staticgeo.static_verifier import (
     Channel,
     ResidualReport,
     ToleranceProfile,
+    _static_rows,
     check_lemma41,
     classify,
     harmonic_pointwise,
@@ -334,6 +335,16 @@ class TestClassifyDetails:
         assert got.distinct_count == 1
         assert got.multiplicities == (e.spec.n - 1,)
         assert got.xi_product_sup == 0.0
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_d_sup_reads_the_public_d_classes(self, entry_by_name, name):
+        # classify, the CLI report's rows and d_tensor_classes share one
+        # order-0 D formula, so all three agree bit for bit.
+        e = entry_by_name[name]
+        s = e.spec.evaluation_grid()
+        public = ce.d_tensor_classes(e.spec, e.lapse, s).value_block
+        assert np.array_equal(_static_rows(e.spec, e.lapse, s)[3], public)
+        assert classify(e.spec, e.lapse).d_sup == float(np.max(np.abs(public)))
 
     def test_to_dict_round_trip(self, entry_by_name):
         e = entry_by_name["type_iv"]
