@@ -21,6 +21,13 @@ equation residual of the profile is zero by construction.
 
 Turning points and orbit crossings come from `_brentq`, a port of scipy's
 Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
+
+Known limitation: the nodes are computed with scalar arithmetic, but
+dense output between them goes through NumPy's vectorised `power`, whose
+SIMD kernels (AVX-512 where the CPU has it) round some float64 values
+differently from the C library's `pow`.  The last digits of ODE-backed
+dense output, and of the verdict numbers built on it, can therefore
+differ between machines; the nodes do not.
 """
 
 from __future__ import annotations

@@ -11,6 +11,13 @@ and integrability channels, and classify's gate, clusters, D-tensor and
 warping rows.  Each dense audit (identity_dcw, identity_db,
 check_lemma41) likewise reads one frame for all of its tensors.
 
+The frame is built once over the whole grid; identity_dcw and identity_db
+then materialize their dense tensors in fixed-size chunks of grid points
+(_CHUNK_POINTS), so their peak memory does not grow with the grid, and
+the chunk size never changes a result.  identity_dcw needs only the first
+slot W_1ijk of the Weyl tensor, since the lapse gradient is f' E_1, and
+materializes only that slice (S n^3 values instead of S n^4).
+
 The classification looks at how many distinct values the fiber Ricci
 eigenvalues take and which blocks warp.  Label strings, including
 "ViolatesThm42" for three or more distinct fiber eigenvalues, are part of
@@ -233,10 +240,24 @@ def integrability_residual(spec: WarpedProductSpec) -> ResidualReport:
     return _report(_integrability_channels(spec, d), s)
 
 
-def _block_channels(prefix: str, res: np.ndarray, spec: WarpedProductSpec, s) -> dict:
-    """Per-block channels: sup of |res| over the frame rows each block owns."""
+# Grid points per chunk of a dense audit.  Each chunk's dense tensors
+# take S_chunk * n^3 doubles, so an audit's peak memory stops growing with
+# the grid; results do not depend on the chunk size.
+_CHUNK_POINTS = 2048
+
+
+def _chunks(size: int):
+    return (slice(i, i + _CHUNK_POINTS) for i in range(0, size, _CHUNK_POINTS))
+
+
+def _row_sups(res: np.ndarray) -> np.ndarray:
+    """Sup of |res| over each frame row: shape (points, n)."""
+    return np.abs(res).reshape(res.shape[0], res.shape[1], -1).max(axis=2)
+
+
+def _block_channels(prefix: str, rows: np.ndarray, spec: WarpedProductSpec, s) -> dict:
+    """Per-block channels: sup over the frame rows each block owns."""
     owner = ce._block_of_index(spec)
-    rows = np.abs(res).reshape(s.size, spec.n, -1).max(axis=2)
     return {
         f"{prefix}[{j}]": _channel(rows[:, owner == j].max(axis=1), s)
         for j in range(len(spec.blocks))
@@ -248,18 +269,27 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
 
     Materialized over all n^3 index triples so that class bookkeeping is
     exercised, then attributed back to blocks through the first index.
+    The lapse gradient has only the component f_1, so only the first slot
+    W_1ijk of the Weyl tensor is materialized.
     """
     s = spec.evaluation_grid()
     fr = ce._Frame(spec, s, 1, "identity_dcw")
     ce._check_fiber_data(spec)
     ce._require_order(f, 1, "identity_dcw")
     fj = jet_of(f, s, 1)
-    C = ce.materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
-    W = ce.materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
-    D = ce.materialize_full(ce.MixedThreeTensor(fr.d_tensor_jets(fj)[0]), spec)
-    f0, f1 = fj[..., None, None, None]
-    res = f0 * C - f1 * W[..., 0, :, :, :] - D
-    return ResidualReport(_block_channels("dcw_block", res, spec, s), s)
+    c, d = fr.cotton_jets()[0], fr.d_tensor_jets(fj)[0]
+    w = [j[0] for j in fr.weyl_jets()]
+    rows = []
+    for g in _chunks(s.size):
+        C = ce.materialize_full(ce.MixedThreeTensor(c[:, g]), spec)
+        W0 = ce._first_slot(ce.RiemannClasses(*(v[..., g] for v in w)), spec)
+        D = ce.materialize_full(ce.MixedThreeTensor(d[:, g]), spec)
+        f0, f1 = fj[:, g, None, None, None]
+        res = f0 * C
+        res -= f1 * W0
+        res -= D
+        rows.append(_row_sups(res))
+    return ResidualReport(_block_channels("dcw_block", np.concatenate(rows), spec, s), s)
 
 
 def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
@@ -274,18 +304,23 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     fr = ce._Frame(spec, s, 2, "identity_db")
     ce._require_order(f, 2, "identity_db")
     fj = jet_of(f, s, 2)
-    B = ce.materialize_full(fr.bach(), spec)
-    C = ce.materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
-    D, Dp = (
-        ce.materialize_full(ce.MixedThreeTensor(row), spec)
-        for row in derivatives_from_jet(fr.d_tensor_jets(fj))
+    b, c, xi = fr.bach(), fr.cotton_jets()[0], fr.xi[0]
+    d, dp = derivatives_from_jet(fr.d_tensor_jets(fj))
+    col11, rows = [], []
+    for g in _chunks(s.size):
+        B = ce.materialize_full(ce.DiagonalTwoTensor(b.value_1[g], b.value_block[:, g]), spec)
+        C = ce.materialize_full(ce.MixedThreeTensor(c[:, g]), spec)
+        D, Dp = (ce.materialize_full(ce.MixedThreeTensor(r[:, g]), spec) for r in (d, dp))
+        div_d = ce.dense_three_tensor_divergence(D, Dp, ce._connection(spec, xi[:, g]))
+        f0, f1 = fj[:2, g, None, None]
+        mix = C[..., :, :, 0] + (n - 3.0) / (n - 2.0) * np.swapaxes(C, -3, -2)[..., :, :, 0]
+        res = (n - 2.0) * f0 * B - div_d + f1 * mix
+        col11.append(res[:, 0, 0])
+        rows.append(_row_sups(res))
+    db_11 = {"db_11": _channel(np.concatenate(col11), s)}
+    return ResidualReport(
+        db_11 | _block_channels("db_block", np.concatenate(rows), spec, s), s
     )
-    div_d = ce.dense_three_tensor_divergence(D, Dp, ce._connection(spec, fr.xi[0]))
-    f0, f1 = fj[:2, ..., None, None]
-    mix = C[..., :, :, 0] + (n - 3.0) / (n - 2.0) * np.swapaxes(C, -3, -2)[..., :, :, 0]
-    res = (n - 2.0) * f0 * B - div_d + f1 * mix
-    db_11 = {"db_11": _channel(res[..., 0, 0], s)}
-    return ResidualReport(db_11 | _block_channels("db_block", res, spec, s), s)
 
 
 def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:

@@ -17,6 +17,14 @@ Two layers, deliberately built with different machinery than the package:
    admissibility test spelled out check by check.  The package runs its
    node loops on Python floats in one generator; these must agree with it
    bit for bit, down to where and how a trajectory blows up.
+
+4. The dense layer as it was before index tables and matrix products:
+   `materialize_full` and the frame connection filled by index loops,
+   both divergences as literal einsum strings, and the two dense audits
+   evaluated over the whole grid at once with the full Weyl tensor.  The
+   package scatters through index tables, contracts with batched matrix
+   products and audits in chunks; materialization must agree bit for bit,
+   contractions within their roundoff.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
+from staticgeo import curvature_engine as ce
 from staticgeo.errors import BlowUp
+from staticgeo.jets import derivatives_from_jet, jet_of
 from staticgeo.ode_solver import (
     _H_FLOOR,
     _STATE_CEIL,
@@ -46,6 +56,7 @@ from staticgeo.profiles import (
     SumProfile,
     TrigProfile,
 )
+from staticgeo.static_verifier import Channel, ResidualReport
 from staticgeo.warped_geometry import (
     FiberBlock,
     LapseFunction,
@@ -432,3 +443,133 @@ def loop_orbit_search(params: WarpingODEParams, k: float, closure_tol: float = 1
         s += dt
         h, hp = h_next, hp_next
     return None
+
+
+# ---------------------------------------------------------------------------
+# Layer 4: dense materialization by index loops, divergences by einsum
+# ---------------------------------------------------------------------------
+
+
+def loop_materialize_full(classes, spec: WarpedProductSpec) -> np.ndarray:
+    """ce.materialize_full, one frame index pair at a time."""
+    n = spec.n
+    owner = ce._block_of_index(spec)
+    if isinstance(classes, ce.RiemannClasses):
+        ce._check_fiber_data(spec)
+        tail = classes.base_block.shape[1:]
+        out = np.zeros(tail + (n, n, n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if i == 0:
+                    val = classes.base_block[owner[j]]
+                elif owner[i] == owner[j]:
+                    val = classes.intra_block[owner[i]]
+                else:
+                    val = classes.cross_block[owner[i], owner[j]]
+                out[..., i, j, i, j] = val
+                out[..., j, i, j, i] = val
+                out[..., i, j, j, i] = -val
+                out[..., j, i, i, j] = -val
+        return out
+    if isinstance(classes, (ce.DiagonalTwoTensor, ce.RicciSpectrum)):
+        if isinstance(classes, ce.RicciSpectrum):
+            v1, vb = classes.lambda_1, classes.lambda_block
+        else:
+            v1, vb = classes.value_1, classes.value_block
+        out = np.zeros(vb.shape[1:] + (n, n))
+        out[..., 0, 0] = v1
+        for a in range(1, n):
+            out[..., a, a] = vb[owner[a]]
+        return out
+    if isinstance(classes, ce.MixedThreeTensor):
+        vb = classes.value_block
+        out = np.zeros(vb.shape[1:] + (n, n, n))
+        for a in range(1, n):
+            out[..., a, 0, a] = vb[owner[a]]
+            out[..., a, a, 0] = -vb[owner[a]]
+        return out
+    raise TypeError(f"cannot materialize {type(classes).__name__}")
+
+
+def loop_connection(spec: WarpedProductSpec, xi: np.ndarray) -> np.ndarray:
+    """ce._connection, one frame index at a time."""
+    n = spec.n
+    owner = ce._block_of_index(spec)
+    out = np.zeros(xi.shape[1:] + (n, n, n))
+    for a in range(1, n):
+        out[..., 0, a, a] = xi[owner[a]]
+        out[..., a, 0, a] = -xi[owner[a]]
+    return out
+
+
+def einsum_three_tensor_divergence(C, C_prime, G) -> np.ndarray:
+    """ce.dense_three_tensor_divergence as three literal einsums."""
+    div = C_prime[..., 0].copy()
+    div += np.einsum("...mjk,...mik->...ij", C, G)
+    div += np.einsum("...imk,...mjk->...ij", C, G)
+    div += np.einsum("...ijm,...mkk->...ij", C, G)
+    return div
+
+
+def einsum_weyl_divergence(W, W_prime, G) -> np.ndarray:
+    """ce.dense_weyl_divergence as literal einsums."""
+    tr = np.einsum("...pll->...p", G)
+    div = W_prime[..., 0, :, :, :].copy()
+    div += np.einsum("...pijk,...p->...ijk", W, tr)
+    div += np.einsum("...lpjk,...pil->...ijk", W, G)
+    div += np.einsum("...lipk,...pjl->...ijk", W, G)
+    div += np.einsum("...lijp,...pkl->...ijk", W, G)
+    return div
+
+
+def _report(points: dict, s: np.ndarray) -> ResidualReport:
+    """Sup-norm channels of pointwise values, as static_verifier reports them."""
+    channels = {}
+    for name, values in points.items():
+        flat = np.abs(values)
+        i = int(np.argmax(flat))
+        channels[name] = Channel(float(flat[i]), i, float(s[i]))
+    return ResidualReport(channels, s)
+
+
+def _block_rows(prefix: str, res: np.ndarray, spec: WarpedProductSpec) -> dict:
+    owner = ce._block_of_index(spec)
+    rows = np.abs(res).reshape(res.shape[0], spec.n, -1).max(axis=2)
+    return {f"{prefix}[{j}]": rows[:, owner == j].max(axis=1) for j in range(len(spec.blocks))}
+
+
+def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
+    """identity_dcw and identity_db over the whole grid through the layer-4 oracles.
+
+    Returns both reports and the largest magnitude among the three terms
+    of identity_db's residual, the scale its roundoff is measured by.
+    """
+    s = spec.evaluation_grid()
+    n = spec.n
+    fr = ce._Frame(spec, s, 1, "oracle identity_dcw")
+    fj = jet_of(lapse, s, 1)
+    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    W = loop_materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
+    D = loop_materialize_full(ce.MixedThreeTensor(fr.d_tensor_jets(fj)[0]), spec)
+    f0, f1 = fj[..., None, None, None]
+    dcw = f0 * C - f1 * W[..., 0, :, :, :] - D
+
+    fr = ce._Frame(spec, s, 2, "oracle identity_db")
+    fj = jet_of(lapse, s, 2)
+    B = loop_materialize_full(fr.bach(), spec)
+    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    D, Dp = (
+        loop_materialize_full(ce.MixedThreeTensor(row), spec)
+        for row in derivatives_from_jet(fr.d_tensor_jets(fj))
+    )
+    div_d = einsum_three_tensor_divergence(D, Dp, loop_connection(spec, fr.xi[0]))
+    f0, f1 = fj[:2, ..., None, None]
+    mix = C[..., :, :, 0] + (n - 3.0) / (n - 2.0) * np.swapaxes(C, -3, -2)[..., :, :, 0]
+    terms = ((n - 2.0) * f0 * B, div_d, f1 * mix)
+    db = terms[0] - terms[1] + terms[2]
+    db_points = {"db_11": db[..., 0, 0]} | _block_rows("db_block", db, spec)
+    return (
+        _report(_block_rows("dcw_block", dcw, spec), s),
+        _report(db_points, s),
+        max(float(np.max(np.abs(t))) for t in terms),
+    )

@@ -7,12 +7,17 @@ collapsed classes must reproduce it after frame normalization.
 Layer 2 (index loops): the tensor-tower formulas evaluated densely with
 explicit Python loops, fed by the engine's already-validated Riemann and
 Ricci output.
+
+Layer 4 (dense oracles): materialization by index loops and both
+divergences as literal einsums, against the engine's index tables and
+batched matrix products.
 """
 
 import numpy as np
 import pytest
 
 import staticgeo.curvature_engine as ce
+from staticgeo.catalog import CATALOG_NAMES
 from staticgeo.errors import (
     BadRange,
     DerivativeOrderUnavailable,
@@ -31,11 +36,15 @@ from staticgeo.warped_geometry import (
 
 from oracle_tools import (
     coordinate_model,
+    einsum_three_tensor_divergence,
+    einsum_weyl_divergence,
     frame_normalize,
     loop_bach,
     loop_cotton,
     loop_d_tensor,
+    loop_connection,
     loop_div_ricci,
+    loop_materialize_full,
     loop_schouten,
     loop_three_divergence,
     loop_weyl,
@@ -347,6 +356,97 @@ class TestDenseStructure:
 # ---------------------------------------------------------------------------
 # Refusals
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# Layer 4: index tables and matrix products against loops and einsums
+
+# Every class operation, by the kind of class it returns.
+CLASS_OPERATIONS = {
+    "riemann_classes": lambda spec, lapse, s: ce.riemann_classes(spec, s),
+    "weyl_classes": lambda spec, lapse, s: ce.weyl_classes(spec, s),
+    "ricci_spectrum": lambda spec, lapse, s: ce.ricci_spectrum(spec, s),
+    "schouten_spectrum": lambda spec, lapse, s: ce.schouten_spectrum(spec, s),
+    "bach_spectrum": lambda spec, lapse, s: ce.bach_spectrum(spec, s),
+    "cotton_classes": lambda spec, lapse, s: ce.cotton_classes(spec, s),
+    "d_tensor_classes": ce.d_tensor_classes,
+}
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def divergence_scale(T, T_prime, G):
+    """Size of the largest term a divergence adds up."""
+    return float(np.max(np.abs(T)) * np.max(np.abs(G)) + np.max(np.abs(T_prime)))
+
+
+def grid_and_point(spec):
+    s = spec.evaluation_grid()
+    return [s, s[s.size // 3]]
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("op", list(CLASS_OPERATIONS))
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_materialize_full_is_the_loop(self, entry_by_name, name, op):
+        e = entry_by_name[name]
+        for s in grid_and_point(e.spec):
+            classes = CLASS_OPERATIONS[op](e.spec, e.lapse, s)
+            want = loop_materialize_full(classes, e.spec)
+            same_bits(ce.materialize_full(classes, e.spec), want)
+            if isinstance(classes, ce.RiemannClasses):
+                same_bits(ce._first_slot(classes, e.spec), want[..., 0, :, :, :])
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_frame_connection_is_the_loop(self, entry_by_name, name):
+        spec = entry_by_name[name].spec
+        for s in grid_and_point(spec):
+            want = loop_connection(spec, ce.xi_profile(spec, s))
+            same_bits(ce.frame_connection(spec, s), want)
+
+    def test_abstract_fiber_refused_by_both(self):
+        spec = TestEngineErrors().abstract_spec(3)
+        zeros = ce.RiemannClasses(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1, 2)))
+        for materialize in (ce.materialize_full, loop_materialize_full, ce._first_slot):
+            with pytest.raises(InsufficientFiberData):
+                materialize(zeros, spec)
+
+    @pytest.mark.parametrize("grid", [(), (1,), (7,), (2, 5)])
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_divergences_on_random_tensors(self, n, grid):
+        rng = np.random.default_rng(1000 * n + len(grid))
+        C, Cp, G = (rng.standard_normal(grid + (n, n, n)) for _ in range(3))
+        got = ce.dense_three_tensor_divergence(C, Cp, G)
+        want = einsum_three_tensor_divergence(C, Cp, G)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * divergence_scale(C, Cp, G)
+        W, Wp = (rng.standard_normal(grid + (n, n, n, n)) for _ in range(2))
+        got = ce.dense_weyl_divergence(W, Wp, G)
+        want = einsum_weyl_divergence(W, Wp, G)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * divergence_scale(W, Wp, G)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_divergences_on_catalog_data(self, entry_by_name, name):
+        e = entry_by_name[name]
+        spec = e.spec
+        s = spec.evaluation_grid()
+        G = ce.frame_connection(spec, s)
+        d_der = ce.d_tensor_derivatives(spec, e.lapse, s, order=1)
+        D, Dp = (ce.materialize_full(ce.MixedThreeTensor(row), spec) for row in d_der)
+        got = ce.dense_three_tensor_divergence(D, Dp, G)
+        want = einsum_three_tensor_divergence(D, Dp, G)
+        assert np.max(np.abs(got - want)) <= 1e-12 * divergence_scale(D, Dp, G)
+        W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
+        # W' enters only additively, so any tensor of W's shape serves.
+        Wp = W * ce.scalar_profile(spec, s)[:, None, None, None, None]
+        got = ce.dense_weyl_divergence(W, Wp, G)
+        want = einsum_weyl_divergence(W, Wp, G)
+        assert np.max(np.abs(got - want)) <= 1e-12 * divergence_scale(W, Wp, G)
 
 
 class TestEngineErrors:

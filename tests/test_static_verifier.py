@@ -10,12 +10,14 @@ metric-level constructions straight to the clustering logic.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from staticgeo import curvature_engine as ce
+from staticgeo import static_verifier as sv
 from staticgeo.catalog import CATALOG_NAMES, build_entry
 from staticgeo.errors import WrongBlockCount
 from staticgeo.ode_solver import WarpingODEParams, integrate_warping, lapse_from_warping
@@ -49,6 +51,8 @@ from staticgeo.warped_geometry import (
     make_sampled_warping,
     perturbed_lapse,
 )
+
+from oracle_tools import oracle_audits
 
 OPEN_GATE = ToleranceProfile(residual=1e9, distinct_rel=1e-6, structure=1e-8)
 
@@ -584,6 +588,60 @@ class TestOneFramePerAudit:
             for d in range(order + 2):
                 want = np.broadcast_to(b.warping.derivative(s, d), s.shape)
                 assert np.array_equal(h[d, j], want)
+
+
+# ---------------------------------------------------------------------------
+# Dense audits: index tables, matrix products and chunks against the oracle
+
+
+def audits(spec, lapse):
+    return identity_dcw(spec, lapse), identity_db(spec, lapse)
+
+
+class TestDenseAudits:
+    @pytest.mark.parametrize("grid", [256, 1024, 4096])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_audits_match_the_oracle_route(self, entry_by_name, name, grid):
+        e = entry_by_name[name]
+        spec = replace(e.spec, grid_points=grid)
+        want_dcw, want_db, db_scale = oracle_audits(spec, e.lapse)
+        got_dcw, got_db = audits(spec, e.lapse)
+        assert list(got_dcw.channels) == list(want_dcw.channels)
+        assert got_dcw.to_dict() == want_dcw.to_dict()
+        assert list(got_db.channels) == list(want_db.channels)
+        for channel, want in want_db.channels.items():
+            assert abs(got_db.channels[channel].sup - want.sup) <= 1e-12 * db_scale
+
+    # Margin-shrunk grids of 253, 996 and 4097 points: 996 and 4097 are not
+    # multiples of 7 and of the default 2048.
+    @pytest.mark.parametrize("chunk, grid", [(1, 257), (7, 1000), (10**9, 4101)])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_results_do_not_depend_on_the_chunk(
+        self, entry_by_name, monkeypatch, name, chunk, grid
+    ):
+        e = entry_by_name[name]
+        spec = replace(e.spec, grid_points=grid)
+        want = [report.to_dict() for report in audits(spec, e.lapse)]
+        monkeypatch.setattr(sv, "_CHUNK_POINTS", chunk)
+        row_sups, seen = sv._row_sups, []
+        monkeypatch.setattr(sv, "_row_sups", lambda res: seen.append(len(res)) or row_sups(res))
+        assert [report.to_dict() for report in audits(spec, e.lapse)] == want
+        # Each audit scans every grid point once, in chunks of the patched size.
+        points = spec.evaluation_grid().size
+        sizes = [min(chunk, points - i) for i in range(0, points, chunk)]
+        assert seen == sizes + sizes
+
+    @pytest.mark.parametrize("audit", [identity_dcw, identity_db])
+    def test_memory_stays_bounded_on_a_fine_grid(self, entry_by_name, audit):
+        e = entry_by_name["type_iv"]
+        spec = replace(e.spec, grid_points=16384)
+        tracemalloc.start()
+        try:
+            audit(spec, e.lapse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
