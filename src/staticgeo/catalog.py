@@ -35,6 +35,7 @@ from .warped_geometry import (
     FiberBlock,
     LapseFunction,
     WarpedProductSpec,
+    _problem_dict,
     make_analytic_warping,
     make_lapse,
 )
@@ -73,26 +74,7 @@ class CatalogEntry:
 
     def to_problem_dict(self) -> dict:
         """Wire-format document accepted by load_problem."""
-        blocks = []
-        for b in self.spec.blocks:
-            blocks.append(
-                {
-                    "dim": b.dim,
-                    "warping": {
-                        "kind": b.warping.kind,
-                        "params": list(b.warping.params),
-                    },
-                    "model": b.model,
-                    "k": b.k,
-                }
-            )
-        return {
-            "n": self.spec.n,
-            "domain": list(self.spec.domain),
-            "grid": self.spec.grid_points,
-            "blocks": blocks,
-            "lapse": {"kind": self.lapse.kind, "params": list(self.lapse.params)},
-        }
+        return _problem_dict(self.spec, self.lapse)
 
 
 def build_round_sphere(n: int = 5) -> CatalogEntry:
@@ -323,31 +305,21 @@ def build_type_iv(
     )
 
 
-BUILDERS = {
-    "round_sphere": build_round_sphere,
-    "flat": build_flat,
-    "example1": build_example1,
-    "example2": build_example2,
-    "example3": build_example3,
-    "example4": build_example4,
-    "example5": build_example5,
-    "type_ii": build_type_ii,
-    "type_iii": build_type_iii,
-    "type_iv": build_type_iv,
+# Name -> (builder, the label the classifier is expected to give).
+_ENTRIES = {
+    "round_sphere": (build_round_sphere, "Einstein"),
+    "flat": (build_flat, "Einstein"),
+    "example1": (build_example1, "DFlat_TypeI"),
+    "example2": (build_example2, "DFlat_TypeI"),
+    "example3": (build_example3, "DFlat_TypeI"),
+    "example4": (build_example4, "DFlat_TypeI"),
+    "example5": (build_example5, "DFlat_TypeI"),
+    "type_ii": (build_type_ii, "TypeII"),
+    "type_iii": (build_type_iii, "TypeIII"),
+    "type_iv": (build_type_iv, "TypeIV"),
 }
-
-EXPECTED_LABELS = {
-    "round_sphere": "Einstein",
-    "flat": "Einstein",
-    "example1": "DFlat_TypeI",
-    "example2": "DFlat_TypeI",
-    "example3": "DFlat_TypeI",
-    "example4": "DFlat_TypeI",
-    "example5": "DFlat_TypeI",
-    "type_ii": "TypeII",
-    "type_iii": "TypeIII",
-    "type_iv": "TypeIV",
-}
+BUILDERS = {name: build for name, (build, _) in _ENTRIES.items()}
+EXPECTED_LABELS = {name: label for name, (_, label) in _ENTRIES.items()}
 
 CATALOG_NAMES = tuple(BUILDERS)
 

@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, KeyError, TypeError, StaticGeoError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, StaticGeoError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

@@ -60,6 +60,8 @@ DEFAULT_STEPS = 4096
 # zero and nothing geometric survives values this large.
 _H_FLOOR = 1e-10
 _STATE_CEIL = 1e12
+# An orbit closes when it returns to h_max within this relative distance.
+_CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class WarpingODEParams:
     step: float | None = None
 
     def __post_init__(self):
-        if int(self.power) != self.power or self.power < 2:
+        if not (self.power >= 2 and float(self.power).is_integer()):
             raise BadRange(f"power must be an integer >= 2, got {self.power}")
         object.__setattr__(self, "power", int(self.power))
         object.__setattr__(
@@ -280,6 +282,11 @@ def integrate_warping(params: WarpingODEParams) -> WarpingFunction:
         float(params.power), params.linear_coeff, params.forcing,
         params.h0, params.h0_prime,
     )
+    # A non-default step is written as the optional sixth parameter, so the
+    # document reloads onto the same nodes.
+    lo, hi = params.domain
+    if params.step not in (None, (hi - lo) / DEFAULT_STEPS):
+        tag += (float(params.step),)
     return WarpingFunction("ode-backed", tag, profile.max_order, profile)
 
 
@@ -408,9 +415,7 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
     return _brentq(gap, lo, hi)
 
 
-def find_periodic(
-    params: WarpingODEParams, k: float, *, closure_tol: float = 1e-8
-) -> PeriodicSolution | None:
+def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None:
     """Closed orbit with first integral k, or None when none exists.
 
     Requires a confining potential (linear_coeff > 0 and forcing > 0) and
@@ -448,7 +453,7 @@ def find_periodic(
             if crossings == 2:
                 period = s + delta
                 h_close = _rk4_step(p, c1, c0, h, hp, delta)[0]
-                if abs(h_close - h_max) > closure_tol * max(1.0, h_max):
+                if abs(h_close - h_max) > _CLOSURE_TOL * max(1.0, h_max):
                     return None
                 orbit = WarpingODEParams(
                     p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS

@@ -17,11 +17,10 @@ at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import profiles
 from .errors import (
     BadRange,
     OutOfDomain,
@@ -33,7 +32,6 @@ from .profiles import (
     PolynomialProfile,
     Profile,
     SampledProfile,
-    ScaledDerivativeProfile,
     ScaledProfile,
     SumProfile,
     TrigProfile,
@@ -64,31 +62,43 @@ DEFAULT_GRID_POINTS = 1024
 # analytic warpings stay out of the evaluation window.
 GRID_MARGIN_STEPS = 2
 
-WARPING_KINDS = frozenset(
-    {
-        "constant",
-        "linear",
-        "sin-scaled",
-        "cos-scaled",
-        "sinh-scaled",
-        "cosh-scaled",
-        "sampled",
-        "ode-backed",
-    }
-)
+_WARPING, _LAPSE, _BOTH = ("warping",), ("lapse",), ("warping", "lapse")
 
-LAPSE_KINDS = frozenset(
-    {"constant", "linear", "poly", "sin-cos", "sinh-cosh", "derived", "sampled"}
-)
+# Every kind a document can name: the roles it plays, the fewest and the
+# most parameters it takes (None: no upper bound), and the profile it builds
+# from them.  The parsers below build the kinds that also need the
+# document's domain or blocks (ode-backed, derived) and send sampled
+# warpings through make_sampled_warping, which checks their positivity.
+_KINDS = {
+    "constant": (_BOTH, 1, 1, PolynomialProfile),  # (value,)
+    "linear": (_BOTH, 2, 2, PolynomialProfile),  # (intercept, slope)
+    "poly": (_LAPSE, 1, None, PolynomialProfile),  # (c0, c1, c2, ...)
+    # (amplitude, frequency[, phase]): A sin(w s + phase), and so on
+    "sin-scaled": (_WARPING, 2, 3, lambda p: TrigProfile(p[0], 0.0, *p[1:])),
+    "cos-scaled": (_WARPING, 2, 3, lambda p: TrigProfile(0.0, *p)),
+    "sinh-scaled": (_WARPING, 2, 3, lambda p: HyperbolicProfile(p[0], 0.0, *p[1:])),
+    "cosh-scaled": (_WARPING, 2, 3, lambda p: HyperbolicProfile(0.0, *p)),
+    # (c_sin, c_cos, frequency[, phase]), (c_sinh, c_cosh, frequency[, phase])
+    "sin-cos": (_LAPSE, 3, 4, lambda p: TrigProfile(*p)),
+    "sinh-cosh": (_LAPSE, 3, 4, lambda p: HyperbolicProfile(*p)),
+    # (s_start, step, v0, v1, ...); SampledProfile asks for nine samples
+    "sampled": (_BOTH, 3, None, lambda p: SampledProfile(p[0], p[1], p[2:])),
+    # (power, linear_coeff, forcing, h0, h0_prime[, step]); see ode_solver
+    "ode-backed": (_WARPING, 5, 6, None),
+    # (scale[, block]): f = scale * h' for the warping h of that block
+    "derived": (_LAPSE, 1, 2, None),
+}
+
+WARPING_KINDS = frozenset(k for k, row in _KINDS.items() if "warping" in row[0])
+LAPSE_KINDS = frozenset(k for k, row in _KINDS.items() if "lapse" in row[0])
 
 
 @dataclass(frozen=True)
-class WarpingFunction:
-    """One warping factor h_j(s) with its derivative tower.
+class _Function:
+    """A profile tagged with the kind and parameters it was built from.
 
-    kind is one of WARPING_KINDS; params echoes the construction
-    parameters (useful for serialization and reports); derivative_order is
-    the maximum order the underlying profile supports.
+    params echoes the construction parameters (for serialization and
+    reports); derivative_order is the highest order the profile supports.
     """
 
     kind: str
@@ -106,43 +116,50 @@ class WarpingFunction:
         return self.value(s)
 
 
-def make_analytic_warping(kind: str, params) -> WarpingFunction:
-    """Build a closed-form warping.
+class WarpingFunction(_Function):
+    """One warping factor h_j(s); kind is one of WARPING_KINDS."""
 
-    Supported kinds and parameters:
 
-    - "constant":     (value,)
-    - "linear":       (intercept, slope)
-    - "sin-scaled":   (amplitude, frequency[, phase])   A sin(w s + phase)
-    - "cos-scaled":   (amplitude, frequency[, phase])
-    - "sinh-scaled":  (amplitude, frequency[, phase])
-    - "cosh-scaled":  (amplitude, frequency[, phase])
-    """
+class LapseFunction(_Function):
+    """Scalar factor f(s) paired with a spec by the verification routines."""
+
+    def rescaled(self, c: float) -> "LapseFunction":
+        """The lapse c * f; c must be nonzero."""
+        if c == 0.0:
+            raise ZeroScale("lapse rescaling factor must be nonzero")
+        return LapseFunction(
+            self.kind,
+            self.params,
+            self.derivative_order,
+            ScaledProfile(self.profile, float(c)),
+        )
+
+
+def _checked(role: str, kind, params):
+    """params as floats and kind's profile builder, once role and count are checked."""
+    roles, fewest, most, build = _KINDS.get(kind, ((), 0, 0, None))
+    if role not in roles:
+        raise UnsupportedKind(f"unknown {role} kind {kind!r}")
     params = tuple(float(p) for p in params)
-    if kind == "constant":
-        if len(params) != 1:
-            raise BadRange(f"constant warping takes 1 parameter, got {len(params)}")
-        profile: Profile = PolynomialProfile(params)
-    elif kind == "linear":
-        if len(params) != 2:
-            raise BadRange(f"linear warping takes 2 parameters, got {len(params)}")
-        profile = PolynomialProfile(params)
-    elif kind in ("sin-scaled", "cos-scaled", "sinh-scaled", "cosh-scaled"):
-        if len(params) not in (2, 3):
-            raise BadRange(f"{kind} warping takes 2 or 3 parameters, got {len(params)}")
-        amp, omega = params[0], params[1]
-        phase = params[2] if len(params) == 3 else 0.0
-        if kind == "sin-scaled":
-            profile = TrigProfile(a_sin=amp, omega=omega, phase=phase)
-        elif kind == "cos-scaled":
-            profile = TrigProfile(a_cos=amp, omega=omega, phase=phase)
-        elif kind == "sinh-scaled":
-            profile = HyperbolicProfile(a_sinh=amp, omega=omega, phase=phase)
-        else:
-            profile = HyperbolicProfile(a_cosh=amp, omega=omega, phase=phase)
-    else:
-        raise UnsupportedKind(f"unknown analytic warping kind {kind!r}")
-    return WarpingFunction(kind, params, profiles.ANALYTIC_ORDER, profile)
+    if not fewest <= len(params) <= (most or len(params)):
+        wanted = f"{fewest}" + ("" if most == fewest else f" to {most}" if most else " or more")
+        raise BadRange(f"{kind} {role} takes {wanted} parameters, got {len(params)}")
+    return params, build
+
+
+def _function(cls, role: str, kind, params):
+    params, build = _checked(role, kind, params)
+    if build is None:
+        raise UnsupportedKind(f"a {kind} {role} needs its document's domain or blocks")
+    profile = build(params)
+    return cls(kind, params, profile.max_order, profile)
+
+
+def make_analytic_warping(kind: str, params) -> WarpingFunction:
+    """Build a closed-form warping; _KINDS lists the kinds and their parameters."""
+    if kind == "sampled":
+        raise UnsupportedKind("sampled warpings are built by make_sampled_warping")
+    return _function(WarpingFunction, "warping", kind, params)
 
 
 def make_sampled_warping(s_start: float, step: float, samples) -> WarpingFunction:
@@ -151,6 +168,23 @@ def make_sampled_warping(s_start: float, step: float, samples) -> WarpingFunctio
     profile.require_positive()
     params = (float(s_start), float(step)) + tuple(float(v) for v in profile.samples)
     return WarpingFunction("sampled", params, profile.max_order, profile)
+
+
+def make_lapse(kind: str, params) -> LapseFunction:
+    """Build a lapse; _KINDS lists the kinds and their parameters.
+
+    The "derived" kind (f = c h') is built by ode_solver.lapse_from_warping
+    from a warping function rather than from raw parameters.
+    """
+    return _function(LapseFunction, "lapse", kind, params)
+
+
+def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
+    """f plus an additive analytic term (used by negative tests)."""
+    return LapseFunction(
+        f.kind, f.params, min(f.derivative_order, extra.max_order),
+        SumProfile(f.profile, extra),
+    )
 
 
 @dataclass(frozen=True)
@@ -223,86 +257,6 @@ class WarpedProductSpec:
 
 
 @dataclass(frozen=True)
-class LapseFunction:
-    """Scalar factor f(s) paired with a spec by the verification routines."""
-
-    kind: str
-    params: tuple[float, ...]
-    derivative_order: int
-    profile: Profile = field(repr=False, compare=False)
-
-    def value(self, s):
-        return self.profile.derivative(s, 0)
-
-    def derivative(self, s, order: int):
-        return self.profile.derivative(s, order)
-
-    def __call__(self, s):
-        return self.value(s)
-
-    def rescaled(self, c: float) -> "LapseFunction":
-        """The lapse c * f; c must be nonzero."""
-        if c == 0.0:
-            raise ZeroScale("lapse rescaling factor must be nonzero")
-        return LapseFunction(
-            self.kind,
-            self.params,
-            self.derivative_order,
-            ScaledProfile(self.profile, float(c)),
-        )
-
-
-def make_lapse(kind: str, params) -> LapseFunction:
-    """Build a lapse function.
-
-    Supported kinds and parameters:
-
-    - "constant":   (value,)
-    - "linear":     (intercept, slope)
-    - "poly":       (c0, c1, c2, ...)
-    - "sin-cos":    (c_sin, c_cos, frequency[, phase])
-    - "sinh-cosh":  (c_sinh, c_cosh, frequency[, phase])
-    - "sampled":    (s_start, step, v0, v1, ...)
-
-    The "derived" kind (f = c h') is built by ode_solver.lapse_from_warping
-    from a warping function rather than from raw parameters.
-    """
-    params = tuple(float(p) for p in params)
-    if kind == "constant":
-        profile: Profile = PolynomialProfile(params[:1])
-        order = profiles.ANALYTIC_ORDER
-    elif kind in ("linear", "poly"):
-        profile = PolynomialProfile(params)
-        order = profiles.ANALYTIC_ORDER
-    elif kind in ("sin-cos", "sinh-cosh"):
-        if len(params) not in (3, 4):
-            raise BadRange(f"{kind} lapse takes 3 or 4 parameters, got {len(params)}")
-        c1, c2, omega = params[0], params[1], params[2]
-        phase = params[3] if len(params) == 4 else 0.0
-        if kind == "sin-cos":
-            profile = TrigProfile(a_sin=c1, a_cos=c2, omega=omega, phase=phase)
-        else:
-            profile = HyperbolicProfile(a_sinh=c1, a_cosh=c2, omega=omega, phase=phase)
-        order = profiles.ANALYTIC_ORDER
-    elif kind == "sampled":
-        if len(params) < 3:
-            raise BadRange("sampled lapse needs (s_start, step, samples...)")
-        profile = SampledProfile(params[0], params[1], params[2:])
-        order = profile.max_order
-    else:
-        raise UnsupportedKind(f"unknown lapse kind {kind!r}")
-    return LapseFunction(kind, params, order, profile)
-
-
-def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
-    """f plus an additive analytic term (used by negative tests)."""
-    return LapseFunction(
-        f.kind, f.params, min(f.derivative_order, extra.max_order),
-        SumProfile(f.profile, extra),
-    )
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_spec: ok iff violations is empty.
 
@@ -348,53 +302,32 @@ def validate_spec(spec: WarpedProductSpec) -> ValidationReport:
 
 
 def _warping_from_dict(d: dict, domain: tuple[float, float]) -> WarpingFunction:
-    kind = d.get("kind")
-    params = d.get("params", [])
-    if kind not in WARPING_KINDS:
-        raise UnsupportedKind(f"unknown warping kind {kind!r}")
+    kind, params = d.get("kind"), d.get("params", [])
     if kind == "sampled":
-        if len(params) < 3:
-            raise BadRange("sampled warping needs params [s_start, step, samples...]")
+        params, _ = _checked("warping", kind, params)
         return make_sampled_warping(params[0], params[1], params[2:])
     if kind == "ode-backed":
         # Deferred import: ode_solver depends on this module for its types.
         from .ode_solver import WarpingODEParams, integrate_warping
 
-        if len(params) not in (5, 6):
-            raise BadRange(
-                "ode-backed warping needs params [power, linear_coeff, forcing, "
-                "h0, h0_prime] with optional trailing step"
-            )
-        step = params[5] if len(params) == 6 else None
-        ode = WarpingODEParams(
-            power=int(params[0]),
-            linear_coeff=float(params[1]),
-            forcing=float(params[2]),
-            h0=float(params[3]),
-            h0_prime=float(params[4]),
-            domain=domain,
-            step=step,
-        )
-        return integrate_warping(ode)
+        params, _ = _checked("warping", kind, params)
+        return integrate_warping(WarpingODEParams(*params[:5], domain, *params[5:]))
     return make_analytic_warping(kind, params)
 
 
 def _lapse_from_dict(d: dict, blocks: tuple[FiberBlock, ...]) -> LapseFunction:
-    kind = d.get("kind")
-    params = d.get("params", [])
-    if kind == "derived":
-        from .ode_solver import lapse_from_warping
+    kind, params = d.get("kind"), d.get("params", [])
+    if kind != "derived":
+        return make_lapse(kind, params)
+    from .ode_solver import lapse_from_warping
 
-        if not params:
-            raise BadRange("derived lapse needs params [scale] or [scale, block]")
-        scale = float(params[0])
-        block_index = int(params[1]) if len(params) > 1 else 0
-        if not 0 <= block_index < len(blocks):
-            raise BadRange(f"derived lapse block index {block_index} out of range")
-        return lapse_from_warping(blocks[block_index].warping, scale)
-    if kind not in LAPSE_KINDS:
-        raise UnsupportedKind(f"unknown lapse kind {kind!r}")
-    return make_lapse(kind, params)
+    params, _ = _checked("lapse", kind, params)
+    index = params[1] if len(params) == 2 else 0.0
+    if not (index.is_integer() and 0 <= index < len(blocks)):
+        raise BadRange(f"derived lapse block index {index:g} is not a block index")
+    f = lapse_from_warping(blocks[int(index)].warping, params[0])
+    # A nonzero block index stays in the tag, so the lapse writes back to its block.
+    return replace(f, params=params) if index else f
 
 
 def spec_from_dict(d: dict, default_grid: int = DEFAULT_GRID_POINTS) -> WarpedProductSpec:
@@ -428,3 +361,22 @@ def load_problem(
     spec = spec_from_dict(d, default_grid)
     lapse = _lapse_from_dict(d["lapse"], spec.blocks)
     return spec, lapse
+
+
+def _problem_dict(spec: WarpedProductSpec, lapse: LapseFunction) -> dict:
+    """The document that load_problem reads back as (spec, lapse)."""
+
+    def function(fn: _Function) -> dict:
+        return {"kind": fn.kind, "params": list(fn.params)}
+
+    blocks = [
+        {"dim": b.dim, "warping": function(b.warping), "model": b.model, "k": b.k}
+        for b in spec.blocks
+    ]
+    return {
+        "n": spec.n,
+        "domain": list(spec.domain),
+        "grid": spec.grid_points,
+        "blocks": blocks,
+        "lapse": function(lapse),
+    }

@@ -30,7 +30,7 @@ from staticgeo.catalog import (
 from staticgeo.errors import BadRange, NonPositiveInput, WrongSign, ZeroK
 from staticgeo.ode_solver import WarpingODEParams, first_integral
 from staticgeo.static_verifier import classify, tier_for
-from staticgeo.warped_geometry import load_problem, validate_spec
+from staticgeo.warped_geometry import _problem_dict, load_problem, validate_spec
 
 # Values produced by these builders and frozen as regression anchors.
 EXAMPLE4_PERIOD = 2.8383764512400584
@@ -91,6 +91,37 @@ class TestWireRoundTrip:
             )
         assert lapse.kind == e.lapse.kind
         np.testing.assert_array_equal(lapse.value(s), e.lapse.value(s))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_documents_keep_their_fields(self, entry_by_name, name):
+        e = entry_by_name[name]
+        spec, lapse = e.spec, e.lapse
+        fields = {
+            "n": spec.n,
+            "domain": list(spec.domain),
+            "grid": spec.grid_points,
+            "blocks": [
+                {
+                    "dim": b.dim,
+                    "warping": {"kind": b.warping.kind, "params": list(b.warping.params)},
+                    "model": b.model,
+                    "k": b.k,
+                }
+                for b in spec.blocks
+            ],
+            "lapse": {"kind": lapse.kind, "params": list(lapse.params)},
+        }
+        dumped = json.dumps(e.to_problem_dict(), indent=2, sort_keys=True)
+        assert dumped == json.dumps(fields, indent=2, sort_keys=True)
+        # Default entries integrate at the default step, which is not written.
+        for b in spec.blocks:
+            if b.warping.kind == "ode-backed":
+                assert len(b.warping.params) == 5
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_documents_are_fixed_points_of_a_reload(self, entry_by_name, name):
+        doc = json.loads(json.dumps(entry_by_name[name].to_problem_dict()))
+        assert _problem_dict(*load_problem(doc)) == doc
 
     def test_problem_dict_shape(self, entry_by_name):
         doc = entry_by_name["type_ii"].to_problem_dict()

@@ -114,6 +114,8 @@ class TestVerify:
             lambda d: d.pop("blocks"),
             lambda d: d["blocks"][0]["warping"].update(kind="spline"),
             lambda d: d.update(n=9),
+            lambda d: d.update(grid=1e400),
+            lambda d: d["lapse"].update(params=[10**400, 0.5]),
         ],
     )
     def test_schema_errors(self, tmp_path, capsys, mangle):
@@ -121,6 +123,35 @@ class TestVerify:
         mangle(doc)
         path = write_json(tmp_path, doc)
         code, _, err = run(capsys, ["verify", path])
+        assert code == 2
+        assert "bad input" in err
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    def test_constant_lapse_without_a_value(self, tmp_path, capsys, command):
+        doc = flat_doc()
+        doc["lapse"] = {"kind": "constant", "params": []}
+        path = write_json(tmp_path, doc)
+        argv = [command, path] + ([str(tmp_path / "out.csv")] if command == "report" else [])
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda d: d["lapse"].update(params=[1.0, 0.5, 0.25]),
+            lambda d: d["lapse"].update(kind="constant"),
+            lambda d: d["blocks"][0]["warping"].update(
+                kind="ode-backed", params=[4.7, 1.0, 1.0, 1.3, 0.0]
+            ),
+            lambda d: d.update(lapse={"kind": "derived", "params": [1.0, 0.5]}),
+        ],
+    )
+    def test_parameters_are_never_dropped_or_truncated(self, tmp_path, capsys, mangle):
+        doc = flat_doc()
+        mangle(doc)
+        code, _, err = run(capsys, ["verify", write_json(tmp_path, doc)])
         assert code == 2
         assert "bad input" in err
 

@@ -116,7 +116,7 @@ class TestParams:
         p = WarpingODEParams(4.0, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
         assert p.power == 4 and isinstance(p.power, int)
 
-    @pytest.mark.parametrize("power", [1, 0, -3, 2.5])
+    @pytest.mark.parametrize("power", [1, 0, -3, 2.5, math.inf, math.nan])
     def test_bad_power(self, power):
         with pytest.raises(BadRange, match="power"):
             WarpingODEParams(power, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))

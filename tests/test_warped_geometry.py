@@ -1,6 +1,7 @@
 """Profiles, spec construction, validation and the JSON wire format."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -31,10 +32,21 @@ from staticgeo.profiles import (
     TrigProfile,
     fd_weights,
 )
+from staticgeo.ode_solver import (
+    DEFAULT_STEPS,
+    WarpingODEParams,
+    integrate_warping,
+    lapse_from_warping,
+)
 from staticgeo.warped_geometry import (
     DEFAULT_GRID_POINTS,
+    LAPSE_KINDS,
+    WARPING_KINDS,
     FiberBlock,
+    LapseFunction,
     WarpedProductSpec,
+    WarpingFunction,
+    _problem_dict,
     load_problem,
     make_analytic_warping,
     make_lapse,
@@ -399,6 +411,132 @@ class TestConstruction:
         with pytest.raises(ZeroScale):
             f.rescaled(0.0)
 
+    def test_warpings_and_lapses_share_one_record(self):
+        names = ["kind", "params", "derivative_order", "profile"]
+        for cls in (WarpingFunction, LapseFunction):
+            assert [f.name for f in dataclasses.fields(cls)] == names
+        assert not issubclass(LapseFunction, WarpingFunction)
+        assert not hasattr(WarpingFunction, "rescaled")
+        profile = PolynomialProfile((1.0,))
+        w = WarpingFunction("constant", (1.0,), 8, profile)
+        assert w == WarpingFunction("constant", (1.0,), 8, PolynomialProfile((2.0,)))
+        assert hash(w) == hash(WarpingFunction("constant", (1.0,), 8, profile))
+        assert w != LapseFunction("constant", (1.0,), 8, profile)
+        assert repr(w) == "WarpingFunction(kind='constant', params=(1.0,), derivative_order=8)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.kind = "linear"
+
+    def test_derivative_order_is_the_profile_order(self):
+        assert make_lapse("poly", (1.0, 2.0)).derivative_order == 8
+        assert make_analytic_warping("sin-scaled", (1.0, 1.0)).derivative_order == 8
+        assert make_lapse("sampled", (0.0, 0.1, *[1.0] * 9)).derivative_order == 4
+
+
+# ---------------------------------------------------------------------------
+# The kind table, checked through documents
+# ---------------------------------------------------------------------------
+
+
+# The parameter counts each (role, kind) accepts, written out here apart from
+# warped_geometry's table: (fewest, most), with most None when unbounded.
+COUNTS = {
+    ("warping", "constant"): (1, 1),
+    ("warping", "linear"): (2, 2),
+    ("warping", "sin-scaled"): (2, 3),
+    ("warping", "cos-scaled"): (2, 3),
+    ("warping", "sinh-scaled"): (2, 3),
+    ("warping", "cosh-scaled"): (2, 3),
+    ("warping", "sampled"): (3, None),
+    ("warping", "ode-backed"): (5, 6),
+    ("lapse", "constant"): (1, 1),
+    ("lapse", "linear"): (2, 2),
+    ("lapse", "poly"): (1, None),
+    ("lapse", "sin-cos"): (3, 4),
+    ("lapse", "sinh-cosh"): (3, 4),
+    ("lapse", "sampled"): (3, None),
+    ("lapse", "derived"): (1, 2),
+}
+
+
+def params_for(kind, count):
+    """count parameters of kind that build on good_doc()'s domain [0.1, 2.0]."""
+    base = {
+        "sampled": [0.0, 0.25] + [1.0 + 0.1 * i for i in range(max(count - 2, 0))],
+        "ode-backed": [3, 1.0, 1.0, 1.3, 0.0, 0.01],
+        "derived": [2.0, 0],
+    }.get(kind, [1.0, 0.5, 0.25, 0.125])
+    return (base + [0.5] * count)[:count]
+
+
+def doc_with(role, kind, params):
+    doc = good_doc()
+    target = doc["blocks"][0]["warping"] if role == "warping" else doc["lapse"]
+    target.update(kind=kind, params=params)
+    return doc
+
+
+def built(role, kind, params):
+    spec, lapse = load_problem(doc_with(role, kind, params))
+    return spec.blocks[0].warping if role == "warping" else lapse
+
+
+def accepted_counts(role, kind):
+    fewest, most = COUNTS[role, kind]
+    if kind == "sampled":
+        fewest = 11  # SampledProfile itself needs nine samples
+    return range(fewest, (most or fewest + 2) + 1)
+
+
+class TestKindTable:
+    def test_kind_sets(self):
+        assert WARPING_KINDS == {k for role, k in COUNTS if role == "warping"}
+        assert LAPSE_KINDS == {k for role, k in COUNTS if role == "lapse"}
+
+    @pytest.mark.parametrize("role, kind", list(COUNTS))
+    def test_every_accepted_count_builds(self, role, kind):
+        for count in accepted_counts(role, kind):
+            fn = built(role, kind, params_for(kind, count))
+            assert fn.kind == kind
+            assert np.isfinite(fn.value(1.0))
+            if kind != "derived":
+                assert fn.params == tuple(float(p) for p in params_for(kind, count))
+
+    @pytest.mark.parametrize("role, kind", list(COUNTS))
+    def test_counts_beyond_the_range_are_refused(self, role, kind):
+        fewest, most = COUNTS[role, kind]
+        for count in [fewest - 1] + ([most + 1] if most else []):
+            with pytest.raises(BadRange, match="parameters"):
+                built(role, kind, params_for(kind, count))
+
+    @pytest.mark.parametrize("role", ["warping", "lapse"])
+    def test_sampled_kinds_need_nine_samples(self, role):
+        for count in range(3, 11):
+            with pytest.raises(TooFewSamples):
+                built(role, "sampled", params_for("sampled", count))
+
+    @pytest.mark.parametrize(
+        "role, kind",
+        [("lapse", k) for k in sorted(WARPING_KINDS - LAPSE_KINDS)]
+        + [("warping", k) for k in sorted(LAPSE_KINDS - WARPING_KINDS)],
+    )
+    def test_kinds_of_the_other_role_are_refused(self, role, kind):
+        other = "lapse" if role == "warping" else "warping"
+        fewest, _ = COUNTS[other, kind]
+        with pytest.raises(UnsupportedKind):
+            built(role, kind, params_for(kind, fewest))
+
+    def test_builders_refuse_kinds_they_cannot_build(self):
+        with pytest.raises(UnsupportedKind):
+            make_lapse("sin-scaled", (1.0, 1.0))
+        with pytest.raises(UnsupportedKind):
+            make_lapse("derived", (1.0,))
+        with pytest.raises(UnsupportedKind):
+            make_analytic_warping("sin-cos", (1.0, 1.0, 1.0))
+        with pytest.raises(UnsupportedKind):
+            make_analytic_warping("ode-backed", (3, 1.0, 1.0, 1.3, 0.0))
+        with pytest.raises(UnsupportedKind):
+            make_analytic_warping("sampled", (0.0, 0.1, *[1.0] * 9))
+
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -519,6 +657,54 @@ class TestWireFormat:
         spec = spec_from_dict(doc)
         h = spec.blocks[0].warping.value(np.array([0.1]))
         assert np.all(h > 0)
+
+    def test_ode_backed_power_is_not_truncated(self):
+        doc = good_doc()
+        doc["blocks"][0]["warping"] = {
+            "kind": "ode-backed",
+            "params": [4.7, 1.0, 1.0, 1.3, 0.0],
+        }
+        with pytest.raises(BadRange, match="power"):
+            spec_from_dict(doc)
+
+    def test_derived_lapse_block_index_is_not_truncated(self):
+        doc = good_doc()
+        doc["lapse"] = {"kind": "derived", "params": [1.0, 0.5]}
+        with pytest.raises(BadRange, match="block index"):
+            load_problem(doc)
+
+    def test_non_default_step_round_trips(self):
+        w = integrate_warping(WarpingODEParams(3, 1.0, 1.0, 1.3, 0.0, (0.0, 1.0), 0.01))
+        assert w.params == (3.0, 1.0, 1.0, 1.3, 0.0, 0.01)
+        spec = WarpedProductSpec((FiberBlock(3, w, "space_form", 1.0),), (0.0, 1.0), 64)
+        doc = json.loads(json.dumps(_problem_dict(spec, lapse_from_warping(w, 1.0))))
+        again, lapse = load_problem(doc)
+        back = again.blocks[0].warping
+        assert back.params == w.params
+        assert back.profile.h_nodes.size == 101
+        np.testing.assert_array_equal(back.profile.h_nodes, w.profile.h_nodes)
+        np.testing.assert_array_equal(back.profile.hp_nodes, w.profile.hp_nodes)
+        assert _problem_dict(again, lapse) == doc
+
+    @pytest.mark.parametrize("step", [None, 1.0 / DEFAULT_STEPS])
+    def test_default_step_is_not_written(self, step):
+        w = integrate_warping(WarpingODEParams(3, 1.0, 1.0, 1.3, 0.0, (0.0, 1.0), step))
+        assert w.params == (3.0, 1.0, 1.0, 1.3, 0.0)
+
+    def test_derived_lapse_round_trips_to_its_block(self):
+        doc = good_doc()
+        doc["n"] = 5
+        doc["blocks"].append(
+            {"dim": 1, "warping": {"kind": "sinh-scaled", "params": [1.0, 1.0]},
+             "model": "line", "k": 0.0}
+        )
+        doc["lapse"] = {"kind": "derived", "params": [2.0, 1.0]}
+        spec, lapse = load_problem(doc)
+        s = np.array([0.5, 1.5])
+        np.testing.assert_allclose(lapse.value(s), 2.0 * np.cosh(s), rtol=1e-14)
+        assert _problem_dict(spec, lapse) == doc
+        doc["lapse"]["params"] = [2.0, 0.0]
+        assert _problem_dict(*load_problem(doc))["lapse"]["params"] == [2.0]
 
     def test_derived_lapse_block_index_checked(self):
         doc = good_doc()
