@@ -21,7 +21,7 @@ Families covered:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BadRange, NonPositiveInput, WrongSign, ZeroK
 from .ode_solver import (
@@ -77,33 +77,38 @@ class CatalogEntry:
         return _problem_dict(self.spec, self.lapse)
 
 
+def _entry(
+    name: str, blocks: tuple, domain, lapse: LapseFunction, params: dict,
+    period: float | None = None,
+) -> CatalogEntry:
+    """The entry's spec and expected label; it is compact iff it has a period."""
+    spec = WarpedProductSpec(blocks=blocks, domain=domain)
+    return CatalogEntry(name, spec, lapse, EXPECTED_LABELS[name],
+                        compact=period is not None, period=period, params=params)
+
+
+def _trajectory(proto: WarpingODEParams, k: float, branch: str, length: float):
+    """Warping on (0, length) from the turning point of conserved value k."""
+    h0 = turning_point(proto, k, branch)
+    return integrate_warping(replace(proto, h0=h0, domain=(0.0, length)))
+
+
 def build_round_sphere(n: int = 5) -> CatalogEntry:
     """Unit sphere slice as a warped product: h = sin s over (0, pi)."""
     if n < 3:
         raise BadRange(f"need n >= 3, got {n}")
-    spec = WarpedProductSpec(
-        blocks=(
-            FiberBlock(n - 1, make_analytic_warping("sin-scaled", (1.0, 1.0)),
-                       "space_form", 1.0),
-        ),
-        domain=(0.15, math.pi - 0.15),
-    )
-    lapse = make_lapse("sin-cos", (0.0, 1.0, 1.0))
-    return CatalogEntry("round_sphere", spec, lapse, EXPECTED_LABELS["round_sphere"],
-                        params={"n": n})
+    block = FiberBlock(n - 1, make_analytic_warping("sin-scaled", (1.0, 1.0)),
+                       "space_form", 1.0)
+    return _entry("round_sphere", (block,), (0.15, math.pi - 0.15),
+                  make_lapse("sin-cos", (0.0, 1.0, 1.0)), {"n": n})
 
 
 def build_flat(n: int = 4) -> CatalogEntry:
     """Flat product with a linear lapse."""
     if n < 3:
         raise BadRange(f"need n >= 3, got {n}")
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(n - 1, make_analytic_warping("constant", (1.0,)),
-                           "space_form", 0.0),),
-        domain=(0.0, 1.0),
-    )
-    lapse = make_lapse("linear", (1.0, 0.5))
-    return CatalogEntry("flat", spec, lapse, EXPECTED_LABELS["flat"], params={"n": n})
+    block = FiberBlock(n - 1, make_analytic_warping("constant", (1.0,)), "space_form", 0.0)
+    return _entry("flat", (block,), (0.0, 1.0), make_lapse("linear", (1.0, 0.5)), {"n": n})
 
 
 def _rigid_fiber_entry(
@@ -112,21 +117,11 @@ def _rigid_fiber_entry(
     if k == 0.0:
         raise ZeroK("fiber curvature must be nonzero for this family")
     omega = math.sqrt((n - 2.0) * abs(k))
-    if k > 0.0:
-        lapse = make_lapse("sin-cos", (c1, c2, omega))
-    else:
-        lapse = make_lapse("sinh-cosh", (c1, c2, omega))
+    lapse = make_lapse("sin-cos" if k > 0.0 else "sinh-cosh", (c1, c2, omega))
     period = 2.0 * math.pi / omega
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(n - 1, make_analytic_warping("constant", (1.0,)),
-                           "space_form", k),),
-        domain=(0.0, period),
-    )
-    return CatalogEntry(
-        name, spec, lapse, EXPECTED_LABELS[name],
-        compact=compact, period=period if compact else None,
-        params={"n": n, "k": k, "c1": c1, "c2": c2},
-    )
+    block = FiberBlock(n - 1, make_analytic_warping("constant", (1.0,)), "space_form", k)
+    return _entry(name, (block,), (0.0, period), lapse,
+                  {"n": n, "k": k, "c1": c1, "c2": c2}, period if compact else None)
 
 
 def build_example1(
@@ -159,61 +154,37 @@ def build_example3(
     trajectory, and the lapse is the derivative of the warping; with that
     pairing the static identities hold up to integration error only.
     """
-    params_proto = WarpingODEParams.single_fiber(n, R, a, 1.0, 0.0, (0.0, 1.0))
-    h0 = turning_point(params_proto, k, "outer")
-    params = WarpingODEParams.single_fiber(n, R, a, h0, 0.0, (0.0, 1.0))
-    warping = integrate_warping(params)
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(n - 1, warping, "space_form", k),),
-        domain=params.domain,
-    )
-    lapse = lapse_from_warping(warping, 1.0)
-    return CatalogEntry(
-        "example3", spec, lapse, EXPECTED_LABELS["example3"],
-        params={"n": n, "R": R, "a": a, "k": k},
-    )
+    proto = WarpingODEParams.single_fiber(n, R, a, 1.0, 0.0, (0.0, 1.0))
+    warping = _trajectory(proto, k, "outer", 1.0)
+    return _entry("example3", (FiberBlock(n - 1, warping, "space_form", k),), (0.0, 1.0),
+                  lapse_from_warping(warping, 1.0), {"n": n, "R": R, "a": a, "k": k})
 
 
 def build_example4(
     n: int = 5, R: float = 20.0, a: float = 1.0, k: float = 2.0
 ) -> CatalogEntry:
     """Closed-up variant of example3 over one full period of the warping."""
-    params_proto = WarpingODEParams.single_fiber(n, R, a, 1.0, 0.0, (0.0, 1.0))
-    sol = find_periodic(params_proto, k)
+    proto = WarpingODEParams.single_fiber(n, R, a, 1.0, 0.0, (0.0, 1.0))
+    sol = find_periodic(proto, k)
     if sol is None:
         raise BadRange(
             f"no closed orbit at conserved value {k}; it must exceed the "
             "potential minimum"
         )
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(n - 1, sol.warping, "space_form", k),),
-        domain=(0.0, sol.period),
-    )
-    lapse = lapse_from_warping(sol.warping, 1.0)
-    return CatalogEntry(
-        "example4", spec, lapse, EXPECTED_LABELS["example4"],
-        compact=True, period=sol.period,
-        params={"n": n, "R": R, "a": a, "k": k},
-    )
+    return _entry("example4", (FiberBlock(n - 1, sol.warping, "space_form", k),),
+                  (0.0, sol.period), lapse_from_warping(sol.warping, 1.0),
+                  {"n": n, "R": R, "a": a, "k": k}, sol.period)
 
 
 def build_example5(
     n: int = 5, a: float = 1.0, k: float = 1.0, length: float = 1.2
 ) -> CatalogEntry:
     """Scalar-flat single-fiber entry (the linear term drops out)."""
-    params_proto = WarpingODEParams.single_fiber(n, 0.0, a, 1.0, 0.0, (0.0, length))
-    h0 = turning_point(params_proto, k, "inner")
-    params = WarpingODEParams.single_fiber(n, 0.0, a, h0, 0.0, (0.0, length))
-    warping = integrate_warping(params)
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(n - 1, warping, "space_form", k),),
-        domain=params.domain,
-    )
-    lapse = lapse_from_warping(warping, 1.0)
-    return CatalogEntry(
-        "example5", spec, lapse, EXPECTED_LABELS["example5"],
-        params={"n": n, "a": a, "k": k, "length": length},
-    )
+    proto = WarpingODEParams.single_fiber(n, 0.0, a, 1.0, 0.0, (0.0, length))
+    warping = _trajectory(proto, k, "inner", length)
+    return _entry("example5", (FiberBlock(n - 1, warping, "space_form", k),), (0.0, length),
+                  lapse_from_warping(warping, 1.0),
+                  {"n": n, "a": a, "k": k, "length": length})
 
 
 def _circle_over_fiber_entry(name: str, n: int, R: float) -> CatalogEntry:
@@ -230,16 +201,11 @@ def _circle_over_fiber_entry(name: str, n: int, R: float) -> CatalogEntry:
         circle = make_analytic_warping("sinh-scaled", (1.0, omega))
         lapse = make_lapse("sinh-cosh", (0.0, 1.0, omega))
         domain = (0.2, 2.2)
-    spec = WarpedProductSpec(
-        blocks=(
-            FiberBlock(1, circle),
-            FiberBlock(n - 2, make_analytic_warping("constant", (1.0,)),
-                       "space_form", fiber_k),
-        ),
-        domain=domain,
+    blocks = (
+        FiberBlock(1, circle),
+        FiberBlock(n - 2, make_analytic_warping("constant", (1.0,)), "space_form", fiber_k),
     )
-    return CatalogEntry(name, spec, lapse, EXPECTED_LABELS[name],
-                        params={"n": n, "R": R})
+    return _entry(name, blocks, domain, lapse, {"n": n, "R": R})
 
 
 def build_type_ii(n: int = 5, R: float = 8.0) -> CatalogEntry:
@@ -271,8 +237,7 @@ def build_type_iv(
         raise BadRange(f"need 3 <= r <= n-1, got r={r} at n={n}")
     if c0 <= 0.0:
         raise NonPositiveInput(f"forcing must be positive, got {c0}")
-    r1 = r - 1
-    r2 = n - r
+    r1, r2 = r - 1, n - r
     if r2 == 1:
         if R != 0.0:
             raise BadRange("a one-dimensional rigid factor forces R = 0")
@@ -286,23 +251,13 @@ def build_type_iv(
     proto = WarpingODEParams.warped_factor(n, R, r1, c0, 1.0, 0.0, (0.0, 1.0))
     sol = find_periodic(proto, k) if R > 0.0 else None
     if sol is not None:
-        warping, domain = sol.warping, (0.0, sol.period)
-        compact, period = True, sol.period
+        warping, domain, period = sol.warping, (0.0, sol.period), sol.period
     else:
-        h0 = turning_point(proto, k, "outer" if R > 0.0 else "inner")
-        params = WarpingODEParams.warped_factor(n, R, r1, c0, h0, 0.0, (0.0, 1.2))
-        warping, domain = integrate_warping(params), params.domain
-        compact, period = False, None
-    spec = WarpedProductSpec(
-        blocks=(FiberBlock(r1, warping, "space_form", k), rigid),
-        domain=domain,
-    )
-    lapse = lapse_from_warping(warping, 1.0)
-    return CatalogEntry(
-        "type_iv", spec, lapse, EXPECTED_LABELS["type_iv"],
-        compact=compact, period=period,
-        params={"n": n, "r": r, "R": R, "c0": c0, "k": k},
-    )
+        warping = _trajectory(proto, k, "outer" if R > 0.0 else "inner", 1.2)
+        domain, period = (0.0, 1.2), None
+    return _entry("type_iv", (FiberBlock(r1, warping, "space_form", k), rigid), domain,
+                  lapse_from_warping(warping, 1.0),
+                  {"n": n, "r": r, "R": R, "c0": c0, "k": k}, period)
 
 
 # Name -> (builder, the label the classifier is expected to give).

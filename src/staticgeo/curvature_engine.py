@@ -218,10 +218,6 @@ class _Frame:
         rows = min(prod.shape[0], d_a.shape[0])
         return prod[:rows] - d_a[:rows]
 
-    def d_tensor_jets(self, fj: np.ndarray) -> np.ndarray:
-        """D_{a1a} = f' _d_factor as a jet, from a lapse jet fj one order above it."""
-        return jmul(jder(fj)[:, None], _d_factor(self.n, self.lam1, self.lam, self.scal))
-
     def bach(self) -> DiagonalTwoTensor:
         """bach_spectrum's values; needs lam_order >= 2 and space-form fibers."""
         nm2, dims, xi0, lam0 = self.n - 2.0, self.dims, self.xi[0], self.lam[0]
@@ -306,18 +302,16 @@ def eigenvalue_derivatives(
     return SpectrumDerivatives(*(derivatives_from_jet(j) for j in jets))
 
 
-def _d_factor(n: int, lambda_1, lambda_block, scalar) -> np.ndarray:
-    """((n-1) lambda_a - R + lambda_1)/(n-2), so that D_{a1a} = f' times it.
+def _d_jet(n: int, fp: np.ndarray, lambda_1, lambda_block, scalar) -> np.ndarray:
+    """D_{a1a} = f' ((n-1) lambda_a - R + lambda_1)/(n-2) as a jet.
 
-    Every input stacks jet or derivative rows on its leading axis; the
-    block axis of lambda_block comes next.
+    fp is the jet of f'; the eigenvalue rows are truncated to its order
+    (a derivative row 0 is its own order-0 jet).  Every input stacks its
+    rows on the leading axis; the block axis of lambda_block comes next.
     """
-    return ((n - 1.0) * lambda_block - scalar[:, None] + lambda_1[:, None]) / (n - 2.0)
-
-
-def _d_classes(n: int, fp: np.ndarray, lambda_1, lambda_block, scalar) -> np.ndarray:
-    """D_{a1a} = f' _d_factor at the points; the inputs carry no derivative rows."""
-    return fp[None] * _d_factor(n, lambda_1[None], lambda_block[None], scalar[None])[0]
+    rows = fp.shape[0]
+    lam1, scal = lambda_1[:rows, None], scalar[:rows, None]
+    return jmul(fp[:, None], ((n - 1.0) * lambda_block[:rows] - scal + lam1) / (n - 2.0))
 
 
 def d_tensor_derivatives(
@@ -326,7 +320,8 @@ def d_tensor_derivatives(
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
     _require_order(f, order + 1, "d_tensor_derivatives")
     fr = _Frame(spec, s, order, "d_tensor_derivatives")
-    return derivatives_from_jet(fr.d_tensor_jets(jet_of(f, fr.s, order + 1)))
+    fpj = jder(jet_of(f, fr.s, order + 1))
+    return derivatives_from_jet(_d_jet(spec.n, fpj, fr.lam1, fr.lam, fr.scal))
 
 
 def riemann_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
@@ -363,7 +358,7 @@ def d_tensor_classes(spec: WarpedProductSpec, f: LapseFunction, s) -> MixedThree
     _require_order(f, 1, "d_tensor_classes")
     fr = _Frame(spec, s, 0, "d_tensor_classes")
     fp = np.asarray(f.derivative(fr.s, 1), dtype=float)
-    return MixedThreeTensor(_d_classes(spec.n, fp, fr.lam1[0], fr.lam[0], fr.scal[0]))
+    return MixedThreeTensor(_d_jet(spec.n, fp[None], fr.lam1, fr.lam, fr.scal)[0])
 
 
 def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:

@@ -50,11 +50,12 @@ def _common_order(*jets: np.ndarray) -> int:
 
 
 def jmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product jet, truncated to the shorter operand."""
+    """Product jet, truncated to the shorter operand; a -0.0 product keeps its sign."""
     order = _common_order(a, b)
-    out = np.zeros((order + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out = np.empty((order + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     for k in range(order + 1):
-        for i in range(k + 1):
+        out[k] = a[0] * b[k]
+        for i in range(1, k + 1):
             out[k] += a[i] * b[k - i]
     return out
 

@@ -155,7 +155,6 @@ def fd_weights(nodes: np.ndarray, x0: float | np.ndarray, max_order: int) -> np.
 
 # Stencil widths: 5 points carry orders 1-2, 7 points carry orders 3-4.
 _STENCIL = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}
-_MARGIN = {0: 2, 1: 2, 2: 2, 3: 3, 4: 3}
 
 
 class SampledProfile(Profile):
@@ -194,16 +193,15 @@ class SampledProfile(Profile):
     def derivative(self, s, order: int):
         self._check_order(order)
         s_arr = np.asarray(s, dtype=float)
-        margin = _MARGIN[order] * self.step
-        lo = self.s_start + margin
-        hi = self.s_end - margin
+        width = _STENCIL[order]
+        lo = self.s_start + width // 2 * self.step
+        hi = self.s_end - width // 2 * self.step
         eps = 1e-9 * self.step
         if np.any(s_arr < lo - eps) or np.any(s_arr > hi + eps):
             raise OutOfDomain(
                 f"evaluation at s outside [{lo:g}, {hi:g}] "
-                f"(order-{order} stencil needs {_MARGIN[order]} steps of margin)"
+                f"(order-{order} stencil needs {width // 2} steps of margin)"
             )
-        width = _STENCIL[order]
         flat = s_arr.ravel()
         center = np.rint((flat - self.s_start) / self.step).astype(int)
         start = np.clip(center - width // 2, 0, self.samples.size - width)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import curvature_engine as ce
 from .errors import WrongBlockCount
-from .jets import derivatives_from_jet, jet_of
+from .jets import derivatives_from_jet, jder, jet_of
 from .warped_geometry import LapseFunction, WarpedProductSpec
 
 __all__ = [
@@ -181,7 +181,7 @@ def _integrability_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]
 def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s):
     """Order-0 spectrum, lapse rows, static channels and D classes from one frame."""
     d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s)
-    dc = ce._d_classes(spec.n, fs[1], d.lambda_1[0], d.lambda_block[0], d.scalar[0])
+    dc = ce._d_jet(spec.n, fs[1][None], d.lambda_1, d.lambda_block, d.scalar)[0]
     return d, fs, _static_channels(spec, fs, d), dc
 
 
@@ -277,7 +277,7 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     ce._check_fiber_data(spec)
     ce._require_order(f, 1, "identity_dcw")
     fj = jet_of(f, s, 1)
-    c, d = fr.cotton_jets()[0], fr.d_tensor_jets(fj)[0]
+    c, d = fr.cotton_jets()[0], ce._d_jet(spec.n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]
     w = [j[0] for j in fr.weyl_jets()]
     rows = []
     for g in _chunks(s.size):
@@ -305,7 +305,7 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     ce._require_order(f, 2, "identity_db")
     fj = jet_of(f, s, 2)
     b, c, xi = fr.bach(), fr.cotton_jets()[0], fr.xi[0]
-    d, dp = derivatives_from_jet(fr.d_tensor_jets(fj))
+    d, dp = derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))
     col11, rows = [], []
     for g in _chunks(s.size):
         B = ce.materialize_full(ce.DiagonalTwoTensor(b.value_1[g], b.value_block[:, g]), spec)
@@ -441,7 +441,8 @@ def classify(
     for cl_i, cl_j in itertools.combinations(clusters, 2):
         for a, b in itertools.product(cl_i, cl_j):
             xi_prod = max(xi_prod, float(np.max(np.abs(xi[a] * xi[b]))))
-    d_sup = float(np.max(np.abs(ce._d_classes(spec.n, fs[1], lam1, lam_blk, scal))))
+    d_classes = ce._d_jet(spec.n, fs[1][None], d.lambda_1, d.lambda_block, d.scalar)
+    d_sup = float(np.max(np.abs(d_classes)))
 
     def made(label: str, detail: str) -> TypeLabel:
         return TypeLabel(label, m, mults, xi_prod, d_sup, detail, report)

@@ -187,6 +187,13 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
     )
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; a fractional value is refused, not truncated."""
+    if not float(value).is_integer():
+        raise BadRange(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FiberBlock:
     """One fiber factor: dimension, model, curvature constant, warping.
@@ -205,6 +212,7 @@ class FiberBlock:
     def __post_init__(self):
         if self.model not in ("line", "space_form", "abstract_einstein"):
             raise UnsupportedKind(f"unknown fiber model {self.model!r}")
+        object.__setattr__(self, "dim", _whole(self.dim, "block dimension"))
         if self.dim == 1:
             object.__setattr__(self, "model", "line")
             object.__setattr__(self, "k", 0.0)
@@ -227,6 +235,7 @@ class WarpedProductSpec:
         )
         if self.domain[1] <= self.domain[0]:
             raise BadRange(f"empty domain {self.domain}")
+        object.__setattr__(self, "grid_points", _whole(self.grid_points, "grid"))
         if self.grid_points < 9:
             raise BadRange(f"grid needs at least 9 points, got {self.grid_points}")
 
@@ -333,20 +342,20 @@ def _lapse_from_dict(d: dict, blocks: tuple[FiberBlock, ...]) -> LapseFunction:
 def spec_from_dict(d: dict, default_grid: int = DEFAULT_GRID_POINTS) -> WarpedProductSpec:
     """Build a WarpedProductSpec from the JSON wire format (without lapse)."""
     domain = (float(d["domain"][0]), float(d["domain"][1]))
-    grid = int(d.get("grid", default_grid))
+    grid = d.get("grid", default_grid)
     blocks = []
     for bd in d["blocks"]:
         warping = _warping_from_dict(bd["warping"], domain)
         blocks.append(
             FiberBlock(
-                dim=int(bd["dim"]),
+                dim=bd["dim"],
                 warping=warping,
                 model=bd.get("model", "space_form"),
                 k=float(bd.get("k", 0.0)),
             )
         )
     spec = WarpedProductSpec(tuple(blocks), domain, grid)
-    declared = int(d["n"])
+    declared = _whole(d["n"], "n")
     if declared != spec.n:
         raise BadRange(
             f"declared dimension n={declared} but blocks give n={spec.n}"

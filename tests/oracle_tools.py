@@ -38,7 +38,7 @@ import sympy as sp
 
 from staticgeo import curvature_engine as ce
 from staticgeo.errors import BlowUp
-from staticgeo.jets import derivatives_from_jet, jet_of
+from staticgeo.jets import derivatives_from_jet, jder, jet_of
 from staticgeo.ode_solver import (
     _H_FLOOR,
     _STATE_CEIL,
@@ -550,7 +550,9 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     fj = jet_of(lapse, s, 1)
     C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
     W = loop_materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
-    D = loop_materialize_full(ce.MixedThreeTensor(fr.d_tensor_jets(fj)[0]), spec)
+    D = loop_materialize_full(
+        ce.MixedThreeTensor(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]), spec
+    )
     f0, f1 = fj[..., None, None, None]
     dcw = f0 * C - f1 * W[..., 0, :, :, :] - D
 
@@ -560,7 +562,7 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
     D, Dp = (
         loop_materialize_full(ce.MixedThreeTensor(row), spec)
-        for row in derivatives_from_jet(fr.d_tensor_jets(fj))
+        for row in derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))
     )
     div_d = einsum_three_tensor_divergence(D, Dp, loop_connection(spec, fr.xi[0]))
     f0, f1 = fj[:2, ..., None, None]

@@ -67,6 +67,42 @@ class TestCatalogContracts:
             catalog_entries[0].name = "renamed"
 
 
+# The ten defaults plus the variants that take the other branch of a builder.
+ENTRY_RULE_CASES = [(name, {}) for name in CATALOG_NAMES] + [
+    ("type_iv", {"R": -5.0}),
+    ("type_iv", {"r": 5, "R": 0.0}),
+    ("example5", {"length": 1.0}),
+]
+
+
+class TestEntryRule:
+    """Every builder returns through one entry constructor."""
+
+    @pytest.fixture(scope="class", params=ENTRY_RULE_CASES,
+                    ids=lambda c: c[0] + "".join(f"-{k}={v}" for k, v in c[1].items()))
+    def entry(self, request):
+        name, overrides = request.param
+        return build_entry(name, **overrides)
+
+    def test_compact_iff_it_has_a_period(self, entry):
+        assert entry.compact == (entry.period is not None)
+
+    def test_compact_domain_is_one_period(self, entry):
+        if entry.compact:
+            assert entry.spec.domain == (0.0, entry.period)
+
+    def test_ode_lapse_is_derived_from_block_zero(self, entry):
+        if entry.name not in ODE_ENTRY_NAMES:
+            return
+        warping = entry.spec.blocks[0].warping
+        assert warping.kind == "ode-backed"
+        assert entry.lapse.kind == "derived"
+        assert entry.lapse.params == (1.0,)
+        assert entry.lapse.profile.base is warping.profile
+        s = entry.spec.evaluation_grid()
+        np.testing.assert_array_equal(entry.lapse.value(s), warping.derivative(s, 1))
+
+
 # ---------------------------------------------------------------------------
 # Wire format round trips
 

@@ -146,6 +146,10 @@ class TestVerify:
                 kind="ode-backed", params=[4.7, 1.0, 1.0, 1.3, 0.0]
             ),
             lambda d: d.update(lapse={"kind": "derived", "params": [1.0, 0.5]}),
+            lambda d: d["blocks"][0].update(dim=3.7),
+            lambda d: d.update(n=4.7),
+            lambda d: d.update(grid=64.9),
+            lambda d: (d["blocks"][0].update(dim=3.7), d.update(n=4.7, grid=64.9)),
         ],
     )
     def test_parameters_are_never_dropped_or_truncated(self, tmp_path, capsys, mangle):
@@ -369,6 +373,25 @@ class TestCatalog:
         )
         assert code == 2
         assert "no closed orbit" in err
+
+    def test_fractional_dimension_is_refused(self, tmp_path, capsys):
+        target = tmp_path / "x.json"
+        code, out, err = run(capsys, [
+            "catalog", "build", "round_sphere", "--set", "n=5.5", "--out", str(target),
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("bad input") and "must be an integer" in err
+        assert not target.exists()
+
+    def test_integral_float_override_builds(self, tmp_path, capsys):
+        target = tmp_path / "type_iv.json"
+        code, out, _ = run(capsys, [
+            "catalog", "build", "type_iv", "--set", "r=4.0", "--out", str(target),
+        ])
+        assert code == 0 and json.loads(out)["pass"] is True
+        written = json.loads(target.read_text(encoding="utf-8"))
+        assert written["n"] == 6 and [b["dim"] for b in written["blocks"]] == [3, 2]
+        assert '"dim": 3,' in target.read_text(encoding="utf-8")
 
     def test_out_file_round_trips(self, tmp_path, capsys):
         target = tmp_path / "type_ii.json"

@@ -343,11 +343,19 @@ class TestClassifyDetails:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_d_sup_reads_the_public_d_classes(self, entry_by_name, name):
         # classify, the CLI report's rows and d_tensor_classes share one
-        # order-0 D formula, so all three agree bit for bit.
+        # D formula, so all three agree bit for bit, signed zeros included.
         e = entry_by_name[name]
         s = e.spec.evaluation_grid()
         public = ce.d_tensor_classes(e.spec, e.lapse, s).value_block
-        assert np.array_equal(_static_rows(e.spec, e.lapse, s)[3], public)
+        rows = _static_rows(e.spec, e.lapse, s)[3]
+        assert np.array_equal(rows, public)
+        assert np.array_equal(np.signbit(rows), np.signbit(public))
+        # The jet product keeps the sign of f' times the factor, -0.0 included.
+        r, n = ce.ricci_spectrum(e.spec, s), e.spec.n
+        factor = ((n - 1.0) * r.lambda_block - r.scalar + r.lambda_1) / (n - 2.0)
+        direct = e.lapse.derivative(s, 1) * factor
+        assert np.array_equal(public, direct)
+        assert np.array_equal(np.signbit(public), np.signbit(direct))
         assert classify(e.spec, e.lapse).d_sup == float(np.max(np.abs(public)))
 
     def test_to_dict_round_trip(self, entry_by_name):

@@ -289,6 +289,25 @@ class TestJets:
         )
         np.testing.assert_allclose(der[2], expected, atol=1e-13)
 
+    def test_jmul_keeps_the_sign_of_a_zero_product(self):
+        a = np.array([[-0.0, 0.0, 2.0], [1.0, 1.0, 3.0]])
+        b = np.array([[1.0, -1.0, 0.0], [2.0, 0.5, 4.0]])
+        prod = jmul(a, b)
+        assert list(np.signbit(prod[0])) == [True, True, False]
+        np.testing.assert_array_equal(prod[0], a[0] * b[0])
+
+    def test_jmul_nonzero_coefficients_match_a_zero_seeded_sum(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 3, 7))
+        b = rng.standard_normal((5, 1, 7))
+        reference = np.zeros((5, 3, 7))
+        for k in range(5):
+            for i in range(k + 1):
+                reference[k] += a[i] * b[k - i]
+        prod = jmul(a, b)
+        assert np.all(prod != 0.0)
+        assert prod.tobytes() == reference.tobytes()
+
     def test_jdiv_inverts_jmul(self):
         rng = np.random.default_rng(11)
         a = jet_from_derivatives(rng.standard_normal((4, 6)))
@@ -349,6 +368,12 @@ class TestConstruction:
                        "space_form", 3.0)
         assert b.model == "line"
         assert b.k == 0.0
+
+    def test_block_dimension_must_be_whole(self):
+        w = make_analytic_warping("constant", (1.0,))
+        with pytest.raises(BadRange, match="block dimension must be an integer"):
+            FiberBlock(2.5, w)
+        assert type(FiberBlock(3.0, w).dim) is int
 
     def test_line_model_needs_dim_one(self):
         with pytest.raises(BadRange):
@@ -666,6 +691,30 @@ class TestWireFormat:
         }
         with pytest.raises(BadRange, match="power"):
             spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mangle, field",
+        [
+            (lambda d: d["blocks"][0].update(dim=3.7), "block dimension"),
+            (lambda d: d.update(n=4.7), "n"),
+            (lambda d: d.update(grid=300.9), "grid"),
+            (lambda d: (d["blocks"][0].update(dim=3.7), d.update(n=4.7, grid=300.9)),
+             "block dimension"),
+        ],
+    )
+    def test_fractional_sizes_are_not_truncated(self, mangle, field):
+        doc = good_doc()
+        mangle(doc)
+        with pytest.raises(BadRange, match=f"{field} must be an integer"):
+            load_problem(doc)
+
+    def test_integral_float_sizes_are_stored_as_ints(self):
+        doc = good_doc()
+        doc["blocks"][0]["dim"], doc["n"], doc["grid"] = 3.0, 4.0, 64.0
+        spec, lapse = load_problem(doc)
+        assert type(spec.blocks[0].dim) is int and spec.blocks[0].dim == 3
+        assert type(spec.grid_points) is int and spec.grid_points == 64
+        assert _problem_dict(spec, lapse) == _problem_dict(*load_problem(good_doc()))
 
     def test_derived_lapse_block_index_is_not_truncated(self):
         doc = good_doc()
