@@ -8,6 +8,10 @@ Subcommands:
   catalog list|build      reference entries, verified on build
   report SPEC.json OUT    per-grid-point CSV or JSON profile
 
+report writes `grid` rows evenly spaced over the margin-shrunk interval;
+verify reads the spec's own grid minus its margins, so its argmax_index
+indexes `grid - 4` points with a different spacing.
+
 Exit codes: 0 success, 1 residual or classification failure, 2 parse or
 schema error, 3 I/O error.  Output is deterministic: sorted JSON keys and
 fixed float formatting, no timestamps.

@@ -34,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadRange,
-    DerivativeOrderUnavailable,
-    InsufficientFiberData,
-    OutOfDomain,
-)
+from .errors import BadRange, InsufficientFiberData, OutOfDomain
 from .jets import (
     derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jet_of, jmul,
 )
@@ -108,14 +103,6 @@ class MixedThreeTensor:
     value_block: np.ndarray
 
 
-def _require_order(fn, order: int, what: str) -> None:
-    if fn.derivative_order < order:
-        raise DerivativeOrderUnavailable(
-            f"{what} needs derivative order {order}, "
-            f"but only {fn.derivative_order} is available"
-        )
-
-
 def _check_domain(spec: WarpedProductSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     lo = spec.domain[0] + GRID_MARGIN_STEPS * spec.step
@@ -137,6 +124,14 @@ def _check_fiber_data(spec: WarpedProductSpec) -> None:
             )
 
 
+def _warping_rows(spec: WarpedProductSpec, s: np.ndarray, order: int) -> np.ndarray:
+    """Warping derivatives 0..order of every block, shape (order+1, B) + S."""
+    return np.array(
+        [[np.broadcast_to(b.warping.derivative(s, d), s.shape) for b in spec.blocks]
+         for d in range(order + 1)]
+    )
+
+
 def _dims(spec: WarpedProductSpec, tail_ndim: int) -> np.ndarray:
     return np.array([b.dim for b in spec.blocks], dtype=float).reshape(
         (len(spec.blocks),) + (1,) * tail_ndim
@@ -152,25 +147,13 @@ class _Frame:
     audit: h, xi, Ricci, Weyl, Cotton, Bach and D jets all come from it.
     """
 
-    def __init__(self, spec: WarpedProductSpec, s, lam_order: int, what: str):
+    def __init__(self, spec: WarpedProductSpec, s, lam_order: int):
         s = _check_domain(spec, s)
         self.s = s
         self.n = spec.n
         self.B = len(spec.blocks)
         horder = lam_order + 2
-        for b in spec.blocks:
-            _require_order(b.warping, horder, what)
-        self.h = h = jet_from_derivatives(
-            [
-                np.stack(
-                    [
-                        np.broadcast_to(b.warping.derivative(s, d), s.shape)
-                        for b in spec.blocks
-                    ]
-                )
-                for d in range(horder + 1)
-            ]
-        )
+        self.h = h = jet_from_derivatives(_warping_rows(spec, s, horder))
         dims = _dims(spec, s.ndim)
         ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(dims.shape)
 
@@ -251,19 +234,13 @@ class _Frame:
 
 def xi_profile(spec: WarpedProductSpec, s) -> np.ndarray:
     """Per-block xi_j = h_j'/h_j, shape (B,) + shape(s)."""
-    s = _check_domain(spec, s)
-    for b in spec.blocks:
-        _require_order(b.warping, 1, "xi_profile")
-    h = np.stack([np.broadcast_to(b.warping.value(s), s.shape) for b in spec.blocks])
-    hp = np.stack(
-        [np.broadcast_to(b.warping.derivative(s, 1), s.shape) for b in spec.blocks]
-    )
+    h, hp = _warping_rows(spec, _check_domain(spec, s), 1)
     return hp / h
 
 
 def ricci_spectrum(spec: WarpedProductSpec, s) -> RicciSpectrum:
     """Eigenvalues of the Ricci endomorphism in the adapted frame."""
-    fr = _Frame(spec, s, 0, "ricci_spectrum")
+    fr = _Frame(spec, s, 0)
     return RicciSpectrum(fr.lam1[0], fr.lam[0], fr.scal[0])
 
 
@@ -297,7 +274,7 @@ def eigenvalue_derivatives(
     Derivatives come from the warping's own derivative tower through jet
     arithmetic, so an order-1 request costs warping derivatives up to 3.
     """
-    fr = _Frame(spec, s, order, "eigenvalue_derivatives")
+    fr = _Frame(spec, s, order)
     jets = (fr.lam1, fr.lam, fr.scal, fr.xi[: order + 1], fr.h[: order + 2])
     return SpectrumDerivatives(*(derivatives_from_jet(j) for j in jets))
 
@@ -318,8 +295,7 @@ def d_tensor_derivatives(
     spec: WarpedProductSpec, f: LapseFunction, s, order: int = 1
 ) -> np.ndarray:
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
-    _require_order(f, order + 1, "d_tensor_derivatives")
-    fr = _Frame(spec, s, order, "d_tensor_derivatives")
+    fr = _Frame(spec, s, order)
     fpj = jder(jet_of(f, fr.s, order + 1))
     return derivatives_from_jet(_d_jet(spec.n, fpj, fr.lam1, fr.lam, fr.scal))
 
@@ -327,25 +303,25 @@ def d_tensor_derivatives(
 def riemann_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     """Sectional-curvature classes; intra-block entries need space forms."""
     _check_fiber_data(spec)
-    fr = _Frame(spec, s, 0, "riemann_classes")
+    fr = _Frame(spec, s, 0)
     return RiemannClasses(fr.m_class[0], fr.p_class[0], fr.q_class[0])
 
 
 def schouten_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
     """Diagonal of A_ij = R_ij - R/(2(n-1)) delta_ij."""
-    fr = _Frame(spec, s, 0, "schouten_spectrum")
+    fr = _Frame(spec, s, 0)
     return DiagonalTwoTensor(fr.A1[0], fr.Ablk[0])
 
 
 def weyl_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     """Conformal curvature classes (same index patterns as the Riemann part)."""
     _check_fiber_data(spec)
-    return RiemannClasses(*(w[0] for w in _Frame(spec, s, 0, "weyl_classes").weyl_jets()))
+    return RiemannClasses(*(w[0] for w in _Frame(spec, s, 0).weyl_jets()))
 
 
 def cotton_classes(spec: WarpedProductSpec, s) -> MixedThreeTensor:
     """C_{a1a} per block (metric-only)."""
-    fr = _Frame(spec, s, 1, "cotton_classes")
+    fr = _Frame(spec, s, 1)
     return MixedThreeTensor(fr.cotton_jets()[0])
 
 
@@ -355,10 +331,7 @@ def d_tensor_classes(spec: WarpedProductSpec, f: LapseFunction, s) -> MixedThree
     D_{a1a} = f' [ (n-1) lambda_a - R + lambda_1 ] / (n-2); antisymmetric
     in its last two slots, zero elsewhere, like the Cotton classes.
     """
-    _require_order(f, 1, "d_tensor_classes")
-    fr = _Frame(spec, s, 0, "d_tensor_classes")
-    fp = np.asarray(f.derivative(fr.s, 1), dtype=float)
-    return MixedThreeTensor(_d_jet(spec.n, fp[None], fr.lam1, fr.lam, fr.scal)[0])
+    return MixedThreeTensor(d_tensor_derivatives(spec, f, s, order=0)[0])
 
 
 def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
@@ -369,7 +342,7 @@ def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
     block-constant component functions.
     """
     _check_fiber_data(spec)
-    return _Frame(spec, s, 2, "bach_spectrum").bach()
+    return _Frame(spec, s, 2).bach()
 
 
 def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
@@ -382,7 +355,7 @@ def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
     if spec.n < 4:
         raise BadRange(f"Weyl-divergence route needs n >= 4, got n={spec.n}")
     _check_fiber_data(spec)
-    fr = _Frame(spec, s, 1, "cotton_from_weyl_divergence")
+    fr = _Frame(spec, s, 1)
     w = fr.weyl_jets()
     W = materialize_full(RiemannClasses(*(j[0] for j in w)), spec)
     Wp = materialize_full(RiemannClasses(*(jder(j)[0] for j in w)), spec)

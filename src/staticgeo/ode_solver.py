@@ -84,6 +84,8 @@ class WarpingODEParams:
         if not (self.power >= 2 and float(self.power).is_integer()):
             raise BadRange(f"power must be an integer >= 2, got {self.power}")
         object.__setattr__(self, "power", int(self.power))
+        for name in ("linear_coeff", "forcing", "h0", "h0_prime"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(
             self, "domain", (float(self.domain[0]), float(self.domain[1]))
         )

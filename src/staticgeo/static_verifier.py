@@ -273,9 +273,8 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     W_1ijk of the Weyl tensor is materialized.
     """
     s = spec.evaluation_grid()
-    fr = ce._Frame(spec, s, 1, "identity_dcw")
+    fr = ce._Frame(spec, s, 1)
     ce._check_fiber_data(spec)
-    ce._require_order(f, 1, "identity_dcw")
     fj = jet_of(f, s, 1)
     c, d = fr.cotton_jets()[0], ce._d_jet(spec.n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]
     w = [j[0] for j in fr.weyl_jets()]
@@ -301,8 +300,7 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     s = spec.evaluation_grid()
     n = spec.n
     ce._check_fiber_data(spec)
-    fr = ce._Frame(spec, s, 2, "identity_db")
-    ce._require_order(f, 2, "identity_db")
+    fr = ce._Frame(spec, s, 2)
     fj = jet_of(f, s, 2)
     b, c, xi = fr.bach(), fr.cotton_jets()[0], fr.xi[0]
     d, dp = derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))

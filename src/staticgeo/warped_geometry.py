@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BadRange,
+    DerivativeOrderUnavailable,
     OutOfDomain,
     UnsupportedKind,
     ZeroScale,
@@ -98,7 +99,9 @@ class _Function:
     """A profile tagged with the kind and parameters it was built from.
 
     params echoes the construction parameters (for serialization and
-    reports); derivative_order is the highest order the profile supports.
+    reports); derivative_order is the highest order a reader may ask for,
+    enforced on every read: value and derivative both go through
+    derivative, so every warping and lapse reader refuses the same orders.
     """
 
     kind: str
@@ -107,9 +110,14 @@ class _Function:
     profile: Profile = field(repr=False, compare=False)
 
     def value(self, s):
-        return self.profile.derivative(s, 0)
+        return self.derivative(s, 0)
 
     def derivative(self, s, order: int):
+        if order > self.derivative_order:
+            raise DerivativeOrderUnavailable(
+                f"derivative order {order} not available "
+                f"(max {self.derivative_order} for this {self.kind} function)"
+            )
         return self.profile.derivative(s, order)
 
     def __call__(self, s):
@@ -213,6 +221,7 @@ class FiberBlock:
         if self.model not in ("line", "space_form", "abstract_einstein"):
             raise UnsupportedKind(f"unknown fiber model {self.model!r}")
         object.__setattr__(self, "dim", _whole(self.dim, "block dimension"))
+        object.__setattr__(self, "k", float(self.k))
         if self.dim == 1:
             object.__setattr__(self, "model", "line")
             object.__setattr__(self, "k", 0.0)
@@ -351,7 +360,7 @@ def spec_from_dict(d: dict, default_grid: int = DEFAULT_GRID_POINTS) -> WarpedPr
                 dim=bd["dim"],
                 warping=warping,
                 model=bd.get("model", "space_form"),
-                k=float(bd.get("k", 0.0)),
+                k=bd.get("k", 0.0),
             )
         )
     spec = WarpedProductSpec(tuple(blocks), domain, grid)

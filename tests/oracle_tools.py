@@ -546,7 +546,7 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     """
     s = spec.evaluation_grid()
     n = spec.n
-    fr = ce._Frame(spec, s, 1, "oracle identity_dcw")
+    fr = ce._Frame(spec, s, 1)
     fj = jet_of(lapse, s, 1)
     C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
     W = loop_materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
@@ -556,7 +556,7 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     f0, f1 = fj[..., None, None, None]
     dcw = f0 * C - f1 * W[..., 0, :, :, :] - D
 
-    fr = ce._Frame(spec, s, 2, "oracle identity_db")
+    fr = ce._Frame(spec, s, 2)
     fj = jet_of(lapse, s, 2)
     B = loop_materialize_full(fr.bach(), spec)
     C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)

@@ -159,6 +159,21 @@ class TestWireRoundTrip:
         doc = json.loads(json.dumps(entry_by_name[name].to_problem_dict()))
         assert _problem_dict(*load_problem(doc)) == doc
 
+    # Integer overrides, as `catalog build --set k=2` passes them: the
+    # document is compared as text, where 2 and 2.0 differ.
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("example1", {"k": 1}), ("example2", {"k": 1}), ("example3", {"k": 2}),
+            ("example3", {"a": 1}), ("example4", {"a": 1}), ("example5", {"a": 1}),
+            ("type_iv", {"c0": 1}), ("type_iv", {"k": 3}),
+        ],
+    )
+    def test_integer_overrides_write_stable_documents(self, name, overrides):
+        dumped = json.dumps(build_entry(name, **overrides).to_problem_dict(), sort_keys=True)
+        reloaded = _problem_dict(*load_problem(json.loads(dumped)))
+        assert json.dumps(reloaded, sort_keys=True) == dumped
+
     def test_problem_dict_shape(self, entry_by_name):
         doc = entry_by_name["type_ii"].to_problem_dict()
         assert set(doc) == {"n", "domain", "grid", "blocks", "lapse"}

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import staticgeo.curvature_engine as ce
+from staticgeo import cli
 from staticgeo.catalog import CATALOG_NAMES
 from staticgeo.errors import (
     BadRange,
@@ -25,7 +26,15 @@ from staticgeo.errors import (
     OutOfDomain,
 )
 from staticgeo.profiles import PolynomialProfile, SampledProfile
-from staticgeo.static_verifier import check_lemma41, identity_db, identity_dcw
+from staticgeo.static_verifier import (
+    check_lemma41,
+    classify,
+    identity_db,
+    identity_dcw,
+    static_pointwise,
+    static_residual,
+    verify_pair,
+)
 from staticgeo.warped_geometry import (
     FiberBlock,
     LapseFunction,
@@ -539,6 +548,22 @@ class TestEngineErrors:
         for audit in (identity_dcw, identity_db):
             with pytest.raises(DerivativeOrderUnavailable):
                 audit(spec, values_only)
+        # Every other lapse reader keeps the declared order too: the answers
+        # and the report read f'' (order 2), Lemma 4.1 reads f' (order 1).
+        second_order = LapseFunction(lapse.kind, lapse.params, 2, lapse.profile)
+        verify_pair(spec, second_order)
+        for reader in (verify_pair, classify, static_residual, static_pointwise,
+                       cli._report_columns):
+            with pytest.raises(DerivativeOrderUnavailable):
+                reader(spec, first_order)
+        two_blocks = spec_with(4, (FiberBlock(1, make_analytic_warping("constant", (1.0,))),))
+        check_lemma41(two_blocks, first_order)
+        with pytest.raises(DerivativeOrderUnavailable):
+            check_lemma41(two_blocks, values_only)
+        # A warping read for xi needs order 1.
+        for reader in (ce.xi_profile, ce.frame_connection):
+            with pytest.raises(DerivativeOrderUnavailable):
+                reader(spec_with(0), s)
 
     def test_weyl_divergence_route_needs_n_at_least_4(self):
         for dim in (1, 2):
