@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BadRange, InsufficientFiberData, OutOfDomain
 from .jets import (
-    derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jet_of, jmul,
+    derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jmul,
 )
 from .warped_geometry import GRID_MARGIN_STEPS, LapseFunction, WarpedProductSpec
 
@@ -296,7 +296,7 @@ def d_tensor_derivatives(
 ) -> np.ndarray:
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
     fr = _Frame(spec, s, order)
-    fpj = jder(jet_of(f, fr.s, order + 1))
+    fpj = jet_from_derivatives([f.derivative(fr.s, d) for d in range(1, order + 2)])
     return derivatives_from_jet(_d_jet(spec.n, fpj, fr.lam1, fr.lam, fr.scal))
 
 

@@ -148,7 +148,7 @@ def _checked(role: str, kind, params):
     roles, fewest, most, build = _KINDS.get(kind, ((), 0, 0, None))
     if role not in roles:
         raise UnsupportedKind(f"unknown {role} kind {kind!r}")
-    params = tuple(float(p) for p in params)
+    params = tuple(map(float, params))
     if not fewest <= len(params) <= (most or len(params)):
         wanted = f"{fewest}" + ("" if most == fewest else f" to {most}" if most else " or more")
         raise BadRange(f"{kind} {role} takes {wanted} parameters, got {len(params)}")
@@ -174,7 +174,7 @@ def make_sampled_warping(s_start: float, step: float, samples) -> WarpingFunctio
     """Warping from uniform samples; needs at least 9 strictly positive values."""
     profile = SampledProfile(s_start, step, samples)
     profile.require_positive()
-    params = (float(s_start), float(step)) + tuple(float(v) for v in profile.samples)
+    params = (float(s_start), float(step)) + tuple(profile.samples.tolist())
     return WarpingFunction("sampled", params, profile.max_order, profile)
 
 

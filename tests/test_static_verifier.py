@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from staticgeo import curvature_engine as ce
+from staticgeo import profiles
 from staticgeo import static_verifier as sv
 from staticgeo.catalog import CATALOG_NAMES, build_entry
 from staticgeo.errors import WrongBlockCount
 from staticgeo.ode_solver import WarpingODEParams, integrate_warping, lapse_from_warping
-from staticgeo.profiles import PolynomialProfile, SumProfile, TrigProfile
+from staticgeo.profiles import PolynomialProfile, SumProfile, TrigProfile, fd_weights
 from staticgeo.static_verifier import (
     ANALYTIC,
     LABELS,
@@ -407,6 +408,22 @@ class TestSampledEntries:
         assert tier is ODE_BACKED
         assert verify_pair(spec, lapse).max_sup() <= tier.residual
         assert classify(spec, lapse).label == e.expected_label
+
+    @pytest.mark.parametrize("name", ["round_sphere", "type_ii"])
+    def test_one_stencil_build_per_grid_and_order(self, entry_by_name, monkeypatch, name):
+        # Before the stencil memo: 14 builds for round_sphere, 22 for type_ii.
+        spec, lapse = resampled(entry_by_name[name], 513)
+        orders = []
+
+        def counting(nodes, x0, max_order):
+            orders.append(max_order)
+            return fd_weights(nodes, x0, max_order)
+
+        monkeypatch.setattr(profiles, "fd_weights", counting)
+        profiles._stencil.cache_clear()
+        verify_pair(spec, lapse)
+        classify(spec, lapse)
+        assert sorted(orders) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

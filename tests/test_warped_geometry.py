@@ -26,10 +26,12 @@ from staticgeo.jets import (
     jmul,
 )
 from staticgeo.profiles import (
+    _STENCIL_MEMO,
     HyperbolicProfile,
     PolynomialProfile,
     SampledProfile,
     TrigProfile,
+    _stencil,
     fd_weights,
 )
 from staticgeo.ode_solver import (
@@ -259,6 +261,98 @@ class TestSampledProfile:
         p = self.make(np.sin)
         with pytest.raises(DerivativeOrderUnavailable):
             p.derivative(1.0, 5)
+
+
+def uncached_derivative(p, s, order):
+    """The batched stencil gather and contraction, rebuilt on every call."""
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    width = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}[order]
+    center = np.rint((flat - p.s_start) / p.step).astype(int)
+    start = np.clip(center - width // 2, 0, p.samples.size - width)
+    idx = start[:, None] + np.arange(width)
+    w = fd_weights(p.s_start + p.step * idx, flat, order)[..., order]
+    out = (w[:, None, :] @ p.samples[idx][:, :, None])[:, 0, 0]
+    return out.reshape(s.shape) if s.shape else out[0]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStencilMemo:
+    def make(self, lo=0.0, step=0.01, num=301, fn=lambda s: np.sin(s) + 2.0):
+        return SampledProfile(lo, step, fn(lo + step * np.arange(num)))
+
+    @pytest.mark.parametrize("num", [257, 1025, 4097])
+    def test_memo_hits_and_misses_equal_the_uncached_route(self, num):
+        s = np.linspace(0.0, 6.0, num)
+        p = SampledProfile(0.0, s[1] - s[0], np.sin(s) + 2.0 + 0.1 * np.cos(3.0 * s))
+        rng = np.random.default_rng(num)
+        lo, hi = p.s_start + 3 * p.step, p.s_end - 3 * p.step
+        queries = (
+            0.5 * (lo + hi),
+            np.concatenate(([lo, hi], rng.uniform(lo, hi, 100), s[3:-3:7])),
+            rng.uniform(lo, hi, (6, 9)),
+            rng.uniform(lo, hi, (9, 6)).T,
+            np.array([]),
+        )
+        _stencil.cache_clear()
+        for order in range(5):
+            for q in queries:
+                want = uncached_derivative(p, q, order)
+                assert same_bits(p.derivative(q, order), want), (order, np.shape(q))
+                assert same_bits(p.derivative(q, order), want), (order, np.shape(q))
+        assert _stencil.cache_info().hits > 0
+
+    def test_every_key_field_gets_its_own_entry(self):
+        q = np.linspace(0.5, 2.5, 50)
+        base = self.make()
+        variants = [
+            (base, q, 2),
+            (self.make(lo=0.003), q, 2),
+            (self.make(step=0.0101), q, 2),
+            (self.make(num=305), q, 2),
+            (base, q, 3),
+            (base, q + 0.001, 2),
+        ]
+        _stencil.cache_clear()
+        first = []
+        for k, (p, s, order) in enumerate(variants, start=1):
+            got = p.derivative(s, order)
+            assert same_bits(got, uncached_derivative(p, s, order))
+            assert _stencil.cache_info().misses == k
+            first.append(got)
+        # The longer grid shares the base's samples, so only its values agree.
+        for k in (1, 2, 4, 5):
+            assert not np.array_equal(first[k], first[0])
+        for (p, s, order), got in zip(variants, first):
+            assert same_bits(p.derivative(s, order), got)
+        assert _stencil.cache_info().misses == len(variants)
+
+    def test_out_of_domain_is_raised_on_a_memo_hit(self):
+        p = self.make(step=0.1, num=31)
+        outside = np.array([0.15, 1.5])
+        key = (p.s_start, p.step, p.samples.size, 2, outside.tobytes())
+        _stencil(*key)
+        hits = _stencil.cache_info().hits
+        with pytest.raises(OutOfDomain):
+            p.derivative(outside, 2)
+        assert _stencil.cache_info().hits == hits  # refused before the lookup
+
+    def test_entries_are_read_only_and_bounded(self):
+        p = self.make()
+        q = np.linspace(0.5, 2.5, 10)
+        _stencil.cache_clear()
+        for k in range(3 * _STENCIL_MEMO):
+            p.derivative(q + 0.001 * k, k % 5)
+            assert _stencil.cache_info().currsize <= _STENCIL_MEMO
+        assert _stencil.cache_info().currsize == _STENCIL_MEMO
+        for arr in _stencil(p.s_start, p.step, p.samples.size, 4, q.tobytes()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------
