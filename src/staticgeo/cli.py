@@ -10,7 +10,10 @@ Subcommands:
 
 report writes `grid` rows evenly spaced over the margin-shrunk interval;
 verify reads the spec's own grid minus its margins, so its argmax_index
-indexes `grid - 4` points with a different spacing.
+indexes `grid - 4` points with a different spacing.  report formats its
+rows in fixed blocks and writes each block as it goes, so its memory does
+not grow with the file; the bytes are those of formatting every value with
+%.17g (CSV) or of one json.dump of the whole document (JSON).
 
 Exit codes: 0 success, 1 residual or classification failure, 2 parse or
 schema error, 3 I/O error.  Output is deterministic: sorted JSON keys and
@@ -41,6 +44,10 @@ from .warped_geometry import (
 )
 
 __all__ = ["main"]
+
+# Rows formatted per write by report.  The file's bytes do not depend on it;
+# the text held in memory at once is one block's, not the whole file's.
+_REPORT_BLOCK_ROWS = 1024
 
 
 def _default_grid() -> int:
@@ -220,17 +227,23 @@ def _cmd_report(args) -> int:
     cols = _report_columns(spec, lapse)
     names = [name for name, _ in cols]
     data = np.column_stack([values for _, values in cols])
+    starts = range(0, len(data), _REPORT_BLOCK_ROWS)
     if args.format == "csv":
-        lines = [",".join(names)]
-        for row in data:
-            lines.append(",".join("%.17g" % v for v in row))
+        row = ",".join(["%.17g"] * len(names)) + "\n"
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(names) + "\n")
+            for i in starts:
+                block = data[i:i + _REPORT_BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     else:
-        doc = {"columns": names, "rows": [[float(v) for v in row] for row in data]}
+        # The bytes of json.dump({"columns": names, "rows": rows}, fh,
+        # sort_keys=True), with each block's rows encoded by json.dumps.
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write('{"columns": %s, "rows": [' % json.dumps(names))
+            for i in starts:
+                fh.write(", " if i else "")
+                fh.write(json.dumps(data[i:i + _REPORT_BLOCK_ROWS].tolist())[1:-1])
+            fh.write("]}\n")
     return 0
 
 

@@ -222,7 +222,8 @@ class SampledProfile(Profile):
         self.s_end = self.s_start + (samples.size - 1) * self.step
 
     def require_positive(self) -> None:
-        if np.any(self.samples <= 0.0):
+        if not np.all(self.samples > 0.0):
+            # argmin finds the first NaN before any value <= 0.
             bad = int(np.argmin(self.samples))
             raise NonPositiveSample(
                 f"sample {bad} is {self.samples[bad]:g}; warping samples must be > 0"

@@ -17,6 +17,7 @@ at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -144,7 +145,7 @@ class LapseFunction(_Function):
 
 
 def _checked(role: str, kind, params):
-    """params as floats and kind's profile builder, once role and count are checked."""
+    """params as floats and kind's profile builder, once role, count and finiteness pass."""
     roles, fewest, most, build = _KINDS.get(kind, ((), 0, 0, None))
     if role not in roles:
         raise UnsupportedKind(f"unknown {role} kind {kind!r}")
@@ -152,6 +153,11 @@ def _checked(role: str, kind, params):
     if not fewest <= len(params) <= (most or len(params)):
         wanted = f"{fewest}" + ("" if most == fewest else f" to {most}" if most else " or more")
         raise BadRange(f"{kind} {role} takes {wanted} parameters, got {len(params)}")
+    # A sum of floats is finite whenever every term is, unless it overflows;
+    # the sum is the cheap test for a sampled function's thousand parameters.
+    if not math.isfinite(sum(params)) and not all(map(math.isfinite, params)):
+        bad = next(i for i, p in enumerate(params) if not math.isfinite(p))
+        raise BadRange(f"{kind} {role} parameter {bad} is {params[bad]}, not finite")
     return params, build
 
 
@@ -171,10 +177,11 @@ def make_analytic_warping(kind: str, params) -> WarpingFunction:
 
 
 def make_sampled_warping(s_start: float, step: float, samples) -> WarpingFunction:
-    """Warping from uniform samples; needs at least 9 strictly positive values."""
-    profile = SampledProfile(s_start, step, samples)
+    """Warping from uniform samples; needs at least 9 finite, strictly positive values."""
+    samples = np.asarray(samples, dtype=float)
+    params, _ = _checked("warping", "sampled", (s_start, step, *samples.ravel().tolist()))
+    profile = SampledProfile(params[0], params[1], samples)
     profile.require_positive()
-    params = (float(s_start), float(step)) + tuple(profile.samples.tolist())
     return WarpingFunction("sampled", params, profile.max_order, profile)
 
 
@@ -193,6 +200,16 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
         f.kind, f.params, min(f.derivative_order, extra.max_order),
         SumProfile(f.profile, extra),
     )
+
+
+def _interval(domain) -> tuple[float, float]:
+    """domain as a pair of floats; non-finite or empty intervals are refused."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadRange(f"domain ends must be finite, got {(lo, hi)}")
+    if hi <= lo:
+        raise BadRange(f"empty domain {(lo, hi)}")
+    return lo, hi
 
 
 def _whole(value, what: str) -> int:
@@ -222,6 +239,8 @@ class FiberBlock:
             raise UnsupportedKind(f"unknown fiber model {self.model!r}")
         object.__setattr__(self, "dim", _whole(self.dim, "block dimension"))
         object.__setattr__(self, "k", float(self.k))
+        if not math.isfinite(self.k):
+            raise BadRange(f"curvature constant k must be finite, got {self.k}")
         if self.dim == 1:
             object.__setattr__(self, "model", "line")
             object.__setattr__(self, "k", 0.0)
@@ -239,11 +258,7 @@ class WarpedProductSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(
-            self, "domain", (float(self.domain[0]), float(self.domain[1]))
-        )
-        if self.domain[1] <= self.domain[0]:
-            raise BadRange(f"empty domain {self.domain}")
+        object.__setattr__(self, "domain", _interval(self.domain))
         object.__setattr__(self, "grid_points", _whole(self.grid_points, "grid"))
         if self.grid_points < 9:
             raise BadRange(f"grid needs at least 9 points, got {self.grid_points}")
@@ -350,7 +365,7 @@ def _lapse_from_dict(d: dict, blocks: tuple[FiberBlock, ...]) -> LapseFunction:
 
 def spec_from_dict(d: dict, default_grid: int = DEFAULT_GRID_POINTS) -> WarpedProductSpec:
     """Build a WarpedProductSpec from the JSON wire format (without lapse)."""
-    domain = (float(d["domain"][0]), float(d["domain"][1]))
+    domain = _interval(d["domain"])
     grid = d.get("grid", default_grid)
     blocks = []
     for bd in d["blocks"]:

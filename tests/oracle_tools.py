@@ -25,12 +25,17 @@ Two layers, deliberately built with different machinery than the package:
    package scatters through index tables, contracts with batched matrix
    products and audits in chunks; materialization must agree bit for bit,
    contractions within their roundoff.
+
+5. The `report` writer as it was before fixed row blocks: every value
+   formatted on its own, row by row, and the JSON document handed whole to
+   `json.dump`.  The package formats and encodes a block of rows at a
+   time; the files must agree byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
-
 from functools import lru_cache
 
 import numpy as np
@@ -575,3 +580,25 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
         _report(db_points, s),
         max(float(np.max(np.abs(t))) for t in terms),
     )
+
+
+# ---------------------------------------------------------------------------
+# Layer 5: the row-by-row report writer
+# ---------------------------------------------------------------------------
+
+
+def loop_write_report(cols, path, fmt: str) -> None:
+    """Write report columns [(name, values), ...] to path as CSV or JSON."""
+    names = [name for name, _ in cols]
+    data = np.column_stack([values for _, values in cols])
+    if fmt == "csv":
+        lines = [",".join(names)]
+        for row in data:
+            lines.append(",".join("%.17g" % v for v in row))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    else:
+        doc = {"columns": names, "rows": [[float(v) for v in row] for row in data]}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")

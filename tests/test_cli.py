@@ -12,12 +12,15 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import staticgeo
+from oracle_tools import loop_write_report
+from staticgeo import cli
 from staticgeo.catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
 from staticgeo.cli import main
 from staticgeo.warped_geometry import load_problem
@@ -39,6 +42,26 @@ def broken_lapse_doc(grid=64):
     """Flat spec with a lapse that misses the static equation by 0.2."""
     doc = flat_doc(grid)
     doc["lapse"] = {"kind": "poly", "params": [1.0, 0.0, 0.1]}
+    return doc
+
+
+def sampled_doc(name="round_sphere", samples=513):
+    """The entry with its warpings and lapse resampled, trimmed three steps a side."""
+    doc = build_entry(name).to_problem_dict()
+    spec, lapse = load_problem(doc)
+    lo, hi = spec.domain
+    s = np.linspace(lo, hi, samples)
+    ds = float(s[1] - s[0])
+
+    def sampled(fn):
+        values = np.broadcast_to(fn.value(s), s.shape).tolist()
+        return {"kind": "sampled", "params": [lo, ds, *values]}
+
+    for block, b in zip(doc["blocks"], spec.blocks):
+        block["warping"] = sampled(b.warping)
+    doc["lapse"] = sampled(lapse)
+    doc["domain"] = [lo + 3 * ds, hi - 3 * ds]
+    doc["grid"] = 64
     return doc
 
 
@@ -165,6 +188,46 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", str(path)])
         assert code == 2
         assert "bad input" in err
+
+
+# Each place a document can carry a number that is not finite: the document
+# it starts from and where the number goes.
+NON_FINITE_PLACES = {
+    "lapse sample": (sampled_doc, lambda d, x: d["lapse"]["params"].__setitem__(100, x)),
+    "sample step": (sampled_doc, lambda d, x: d["lapse"]["params"].__setitem__(1, x)),
+    "warping sample": (
+        sampled_doc, lambda d, x: d["blocks"][0]["warping"]["params"].__setitem__(100, x)
+    ),
+    "warping parameter": (
+        lambda: build_entry("round_sphere").to_problem_dict(),
+        lambda d, x: d["blocks"][0]["warping"]["params"].__setitem__(0, x),
+    ),
+    "domain start": (sampled_doc, lambda d, x: d["domain"].__setitem__(0, x)),
+    "domain end": (sampled_doc, lambda d, x: d["domain"].__setitem__(1, x)),
+    "k": (sampled_doc, lambda d, x: d["blocks"][0].__setitem__("k", x)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteNumbers:
+    def test_the_sampled_document_itself_passes(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["verify", write_json(tmp_path, sampled_doc())])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("place", list(NON_FINITE_PLACES))
+    def test_refused_as_bad_input(self, tmp_path, capsys, command, bad, place):
+        make, mangle = NON_FINITE_PLACES[place]
+        doc = make()
+        mangle(doc, bad)
+        target = tmp_path / "out.csv"
+        argv = [command, write_json(tmp_path, doc)]
+        code, out, err = run(capsys, argv + ([str(target)] if command == "report" else []))
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("bad input") and "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +526,60 @@ class TestReport:
         code, _, err = run(capsys, ["report", path, str(target)])
         assert code == 3
         assert "i/o error" in err
+
+
+BLOCK = cli._REPORT_BLOCK_ROWS
+
+
+class TestReportBytes:
+    """The block writer against the row-by-row writer in oracle_tools."""
+
+    @staticmethod
+    def both(tmp_path, capsys, doc, fmt):
+        expected, target = tmp_path / "rows.out", tmp_path / "blocks.out"
+        loop_write_report(cli._report_columns(*load_problem(doc)), expected, fmt)
+        argv = ["report", write_json(tmp_path, doc), str(target), "--format", fmt]
+        assert run(capsys, argv)[0] == 0
+        return expected.read_bytes(), target.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", [9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("name", ["round_sphere", "type_ii"])
+    def test_same_bytes_as_the_row_writer(self, tmp_path, capsys, name, grid, fmt):
+        doc = build_entry(name).to_problem_dict()
+        doc["grid"] = grid
+        expected, written = self.both(tmp_path, capsys, doc, fmt)
+        assert written == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_values(self, tmp_path, capsys, monkeypatch, fmt):
+        specials = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1 / 3])
+        x = np.resize(specials, BLOCK + 1)
+        cols = [("s", np.linspace(0.0, 1.0, BLOCK + 1)), ("x", x), ("y", -x[::-1])]
+        monkeypatch.setattr(cli, "_report_columns", lambda spec, lapse: cols)
+        expected, written = self.both(tmp_path, capsys, flat_doc(), fmt)
+        assert written == expected
+        tokens = {
+            "csv": [b"nan", b"-inf", b"-0,", b"4.9406564584124654e-324",
+                    b"1.0000000000000001e+300"],
+            "json": [b"NaN", b"-Infinity", b"-0.0", b"5e-324", b"1e+300"],
+        }[fmt]
+        assert all(t in written for t in tokens)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, capsys, fmt):
+        # The row-by-row writer peaked at 13.7 MiB (JSON) and 16.8 MiB (CSV) on this report.
+        doc = build_entry("type_iv").to_problem_dict()
+        doc["grid"] = 16384
+        argv = ["report", write_json(tmp_path, doc), str(tmp_path / "out"), "--format", fmt]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,31 @@ class TestConstruction:
         with pytest.raises(UnsupportedKind):
             make_lapse("spline", (1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_numbers_are_refused(self, bad):
+        w = make_analytic_warping("constant", (1.0,))
+        ones = np.ones(12)
+        refused = [
+            lambda: make_analytic_warping("sin-scaled", (bad, 1.0)),
+            lambda: make_lapse("sin-cos", (0.0, 1.0, bad)),
+            lambda: make_lapse("sampled", (0.0, 0.1, *ones[:5], bad, *ones[6:])),
+            lambda: make_sampled_warping(bad, 0.1, ones),
+            lambda: make_sampled_warping(0.0, bad, ones),
+            lambda: make_sampled_warping(0.0, 0.1, np.where(np.arange(12) == 5, bad, ones)),
+            lambda: FiberBlock(3, w, "space_form", bad),
+            lambda: FiberBlock(1, w, "line", bad),
+            lambda: WarpedProductSpec((FiberBlock(3, w),), (bad, 1.0)),
+            lambda: WarpedProductSpec((FiberBlock(3, w),), (0.0, bad)),
+        ]
+        for build in refused:
+            with pytest.raises(BadRange, match="finite"):
+                build()
+
+    def test_require_positive_refuses_nan(self):
+        p = SampledProfile(0.0, 0.1, np.where(np.arange(12) == 7, np.nan, 1.0))
+        with pytest.raises(NonPositiveSample, match="sample 7 is nan"):
+            p.require_positive()
+
     def test_block_dim_one_normalizes_to_line(self):
         b = FiberBlock(1, make_analytic_warping("constant", (1.0,)),
                        "space_form", 3.0)
@@ -626,6 +651,14 @@ class TestKindTable:
         for count in [fewest - 1] + ([most + 1] if most else []):
             with pytest.raises(BadRange, match="parameters"):
                 built(role, kind, params_for(kind, count))
+
+    @pytest.mark.parametrize("role, kind", list(COUNTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_parameters_are_refused(self, role, kind, bad):
+        params = params_for(kind, accepted_counts(role, kind)[0])
+        for i in range(len(params)):
+            with pytest.raises(BadRange, match=f"parameter {i} is .*finite"):
+                built(role, kind, params[:i] + [bad] + params[i + 1:])
 
     @pytest.mark.parametrize("role", ["warping", "lapse"])
     def test_sampled_kinds_need_nine_samples(self, role):
