@@ -15,9 +15,12 @@ rows in fixed blocks and writes each block as it goes, so its memory does
 not grow with the file; the bytes are those of formatting every value with
 %.17g (CSV) or of one json.dump of the whole document (JSON).
 
-Exit codes: 0 success, 1 residual or classification failure, 2 parse or
-schema error, 3 I/O error.  Output is deterministic: sorted JSON keys and
-fixed float formatting, no timestamps.
+verify, classify and report load through one step that runs validate_spec:
+a warping not positive on the grid prints verify's {"valid": false, ...}
+and exits 1, and report writes no file.  A non-finite --tol or solve-ode
+number is bad input.  Exit codes: 0 success, 1 residual or classification
+failure, 2 parse or schema error, 3 I/O error.  Output is deterministic:
+sorted JSON keys and fixed float formatting, no timestamps.
 
 The STATICGEO_GRID environment variable overrides the default grid size
 for specs that do not pin one; it is read here and nowhere else.
@@ -29,12 +32,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import static_verifier as sv
 from .catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
-from .errors import BlowUp, StaticGeoError
+from .errors import BadRange, BlowUp, StaticGeoError
+from .jets import _rows
 from .ode_solver import WarpingODEParams, find_periodic, first_integral, integrate_warping
 from .warped_geometry import (
     DEFAULT_GRID_POINTS,
@@ -63,24 +68,30 @@ def _default_grid() -> int:
     return grid
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+class _InvalidSpec(Exception):
+    """Raised by _load once it has printed validate_spec's refusal; main exits 1."""
+
+
+def _emit(obj, fh=None) -> None:
+    print(json.dumps(obj, indent=2, sort_keys=True), file=fh)
 
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return load_problem(doc, _default_grid())
-
-
-def _cmd_verify(args) -> int:
-    spec, lapse = _load(args.spec)
+    spec, lapse = load_problem(doc, _default_grid())
     bad = validate_spec(spec)
     if not bad.ok:
         _emit({"valid": False, "violations": bad.violations[:16]})
-        return 1
-    tier = sv.tier_for(spec, lapse)
-    tol = args.tol if args.tol is not None else tier.residual
+        raise _InvalidSpec
+    return spec, lapse
+
+
+def _cmd_verify(args) -> int:
+    if args.tol is not None and not np.isfinite(args.tol):
+        raise BadRange(f"--tol must be finite, got {args.tol}")
+    spec, lapse = _load(args.spec)
+    tol = args.tol if args.tol is not None else sv.tier_for(spec, lapse).residual
     report = sv.verify_pair(spec, lapse)
     ok = report.max_sup() <= tol
     _emit(
@@ -103,13 +114,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve_ode(args) -> int:
     params = WarpingODEParams(
-        power=args.power,
-        linear_coeff=args.linear_coeff,
-        forcing=args.forcing,
-        h0=args.h0,
-        h0_prime=args.h0_prime,
-        domain=(args.domain[0], args.domain[1]),
-        step=args.step,
+        args.power, args.linear_coeff, args.forcing, args.h0, args.h0_prime, args.domain,
+        args.step,
     )
     if args.periodic:
         if args.k is None:
@@ -133,10 +139,7 @@ def _cmd_solve_ode(args) -> int:
     except BlowUp as exc:
         _emit({"blow_up": True, "last_valid_s": exc.last_valid_s})
         return 1
-    lo, hi = params.domain
-    ends = np.array([lo, hi])
-    h = warping.value(ends)
-    hp = warping.derivative(ends, 1)
+    h, hp = _rows(warping, np.array(params.domain), (0, 1))
     k = first_integral(params, h, hp).value
     _emit(
         {
@@ -148,16 +151,6 @@ def _cmd_solve_ode(args) -> int:
         }
     )
     return 0
-
-
-def _entry_with_grid(name: str, overrides: dict):
-    entry = build_entry(name, **overrides)
-    grid = _default_grid()
-    if grid != entry.spec.grid_points:
-        from dataclasses import replace
-
-        entry = replace(entry, spec=replace(entry.spec, grid_points=grid))
-    return entry
 
 
 def _cmd_catalog(args) -> int:
@@ -180,7 +173,8 @@ def _cmd_catalog(args) -> int:
             overrides[key] = int(raw)
         except ValueError:
             overrides[key] = float(raw)
-    entry = _entry_with_grid(args.name, overrides)
+    entry = build_entry(args.name, **overrides)
+    entry = replace(entry, spec=replace(entry.spec, grid_points=_default_grid()))
     label = sv.classify(entry.spec, entry.lapse)
     report = label.report
     tier = sv.tier_for(entry.spec, entry.lapse)
@@ -198,8 +192,7 @@ def _cmd_catalog(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(entry.to_problem_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _emit(entry.to_problem_dict(), fh)
         out["written"] = args.out
     _emit(out)
     return 0 if ok else 1
@@ -302,6 +295,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
+    except _InvalidSpec:
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, InsufficientFiberData, OutOfDomain
-from .jets import (
-    derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jmul,
-)
+from .errors import BadRange, InsufficientFiberData
+from .jets import _rows, derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jmul
+from .profiles import _within
 from .warped_geometry import GRID_MARGIN_STEPS, LapseFunction, WarpedProductSpec
 
 __all__ = [
@@ -104,15 +103,11 @@ class MixedThreeTensor:
 
 
 def _check_domain(spec: WarpedProductSpec, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    lo = spec.domain[0] + GRID_MARGIN_STEPS * spec.step
-    hi = spec.domain[1] - GRID_MARGIN_STEPS * spec.step
-    slack = 1e-9 * spec.step
-    if np.any(s < lo - slack) or np.any(s > hi + slack):
-        raise OutOfDomain(
-            f"s outside margin-shrunk domain [{lo:g}, {hi:g}] of the spec"
-        )
-    return s
+    margin = GRID_MARGIN_STEPS * spec.step
+    return _within(
+        s, spec.domain[0] + margin, spec.domain[1] - margin, spec.step,
+        "s outside margin-shrunk domain [{lo:g}, {hi:g}] of the spec",
+    )
 
 
 def _check_fiber_data(spec: WarpedProductSpec) -> None:
@@ -126,10 +121,9 @@ def _check_fiber_data(spec: WarpedProductSpec) -> None:
 
 def _warping_rows(spec: WarpedProductSpec, s: np.ndarray, order: int) -> np.ndarray:
     """Warping derivatives 0..order of every block, shape (order+1, B) + S."""
-    return np.array(
-        [[np.broadcast_to(b.warping.derivative(s, d), s.shape) for b in spec.blocks]
-         for d in range(order + 1)]
-    )
+    shape = (order + 1,) + s.shape
+    rows = [np.broadcast_to(_rows(b.warping, s, range(order + 1)), shape) for b in spec.blocks]
+    return np.stack(rows, axis=1)
 
 
 def _dims(spec: WarpedProductSpec, tail_ndim: int) -> np.ndarray:
@@ -296,7 +290,7 @@ def d_tensor_derivatives(
 ) -> np.ndarray:
     """Obstruction classes D_{a1a} with derivatives, shape (order+1, B) + S."""
     fr = _Frame(spec, s, order)
-    fpj = jet_from_derivatives([f.derivative(fr.s, d) for d in range(1, order + 2)])
+    fpj = jet_from_derivatives(_rows(f, fr.s, range(1, order + 2)))
     return derivatives_from_jet(_d_jet(spec.n, fpj, fr.lam1, fr.lam, fr.scal))
 
 

@@ -79,6 +79,11 @@ def jder(a: np.ndarray) -> np.ndarray:
     return a[1:] * k.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
+def _rows(fn, s, orders) -> list[np.ndarray]:
+    """The given derivative orders of fn (anything with .derivative(s, d)) at s, as floats."""
+    return [np.asarray(fn.derivative(s, d), dtype=float) for d in orders]
+
+
 def jet_of(profile, s, order: int) -> np.ndarray:
     """Jet of a Profile (or anything with .derivative(s, d)) at s."""
-    return jet_from_derivatives([profile.derivative(s, d) for d in range(order + 1)])
+    return jet_from_derivatives(_rows(profile, s, range(order + 1)))

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, BlowUp, NonPositiveInput, OutOfDomain, ZeroScale
-from .profiles import Profile, ScaledDerivativeProfile
-from .warped_geometry import LapseFunction, WarpingFunction
+from .errors import BadRange, BlowUp, NonPositiveInput, ZeroScale
+from .profiles import Profile, ScaledDerivativeProfile, _within
+from .warped_geometry import LapseFunction, WarpingFunction, _finite, _interval
 
 __all__ = [
     "WarpingODEParams",
@@ -84,13 +84,10 @@ class WarpingODEParams:
         if not (self.power >= 2 and float(self.power).is_integer()):
             raise BadRange(f"power must be an integer >= 2, got {self.power}")
         object.__setattr__(self, "power", int(self.power))
-        for name in ("linear_coeff", "forcing", "h0", "h0_prime"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(
-            self, "domain", (float(self.domain[0]), float(self.domain[1]))
-        )
-        if self.domain[1] <= self.domain[0]:
-            raise BadRange(f"empty integration domain {self.domain}")
+        object.__setattr__(self, "domain", _interval(self.domain))
+        for name in ("linear_coeff", "forcing", "h0", "h0_prime", "step"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.step is not None and not self.step > 0:
             raise BadRange(f"step must be positive, got {self.step}")
         if self.forcing != 0.0 and not self.h0 > 0.0:
@@ -240,12 +237,11 @@ class OdeBackedProfile(Profile):
         self.h_nodes = h
         self.hp_nodes = hp
 
-    def _state(self, s: np.ndarray):
-        slack = 1e-9 * self.dt
-        if np.any(s < self.s_lo - slack) or np.any(s > self.s_hi + slack):
-            raise OutOfDomain(
-                f"evaluation outside the integrated domain [{self.s_lo:g}, {self.s_hi:g}]"
-            )
+    def _state(self, s):
+        s = _within(
+            s, self.s_lo, self.s_hi, self.dt,
+            "evaluation outside the integrated domain [{lo:g}, {hi:g}]",
+        )
         idx = np.clip(
             np.floor((s - self.s_lo) / self.dt).astype(int), 0, self.h_nodes.size - 1
         )
@@ -258,8 +254,7 @@ class OdeBackedProfile(Profile):
 
     def derivative(self, s, order: int):
         self._check_order(order)
-        s_arr = np.asarray(s, dtype=float)
-        h, hp = self._state(s_arr)
+        h, hp = self._state(s)
         p = float(self.params.power)
         c1, c0 = self.params.linear_coeff, self.params.forcing
         if order == 0:
@@ -377,6 +372,7 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
     barrier root below it; with linear_coeff <= 0 only "inner" exists.
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    k = _finite("k", k)
     if c0 <= 0.0:
         raise NonPositiveInput(f"turning points need forcing > 0, got {c0}")
     if branch not in ("inner", "outer"):
@@ -426,6 +422,7 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
     by bisecting the h' sign changes of the dense trajectory.
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    k = _finite("k", k)
     if c1 <= 0.0 or c0 <= 0.0:
         return None
     h_star = (c0 / c1) ** (1.0 / (p + 1.0))

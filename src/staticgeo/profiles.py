@@ -49,6 +49,15 @@ __all__ = [
 ANALYTIC_ORDER = 8
 
 
+def _within(s, lo: float, hi: float, step: float, message: str, **fields) -> np.ndarray:
+    """s as floats; refused beyond 1e-9 of a step outside [lo, hi], message formatted then."""
+    s = np.asarray(s, dtype=float)
+    slack = 1e-9 * step
+    if np.any(s < lo - slack) or np.any(s > hi + slack):
+        raise OutOfDomain(message.format(lo=lo, hi=hi, **fields))
+    return s
+
+
 class Profile:
     """Base class: a scalar function with a derivative tower."""
 
@@ -231,16 +240,13 @@ class SampledProfile(Profile):
 
     def derivative(self, s, order: int):
         self._check_order(order)
-        s_arr = np.asarray(s, dtype=float)
-        width = _STENCIL[order]
-        lo = self.s_start + width // 2 * self.step
-        hi = self.s_end - width // 2 * self.step
-        eps = 1e-9 * self.step
-        if np.any(s_arr < lo - eps) or np.any(s_arr > hi + eps):
-            raise OutOfDomain(
-                f"evaluation at s outside [{lo:g}, {hi:g}] "
-                f"(order-{order} stencil needs {width // 2} steps of margin)"
-            )
+        margin = _STENCIL[order] // 2
+        s_arr = _within(
+            s, self.s_start + margin * self.step, self.s_end - margin * self.step,
+            self.step, "evaluation at s outside [{lo:g}, {hi:g}] "
+            "(order-{order} stencil needs {margin} steps of margin)",
+            order=order, margin=margin,
+        )
         idx, w = _stencil(
             self.s_start, self.step, self.samples.size, order, s_arr.tobytes()
         )

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import curvature_engine as ce
 from .errors import WrongBlockCount
-from .jets import derivatives_from_jet, jder, jet_of
+from .jets import _rows, derivatives_from_jet, jder, jet_of
 from .warped_geometry import LapseFunction, WarpedProductSpec
 
 __all__ = [
@@ -149,10 +149,6 @@ def tier_for(spec: WarpedProductSpec, f: LapseFunction | None = None) -> Toleran
 # ---------------------------------------------------------------------------
 
 
-def _rows(fn, s) -> list[np.ndarray]:
-    return [np.asarray(fn.derivative(s, k), dtype=float) for k in range(3)]
-
-
 def _static_channels(spec: WarpedProductSpec, fs, d) -> dict[str, np.ndarray]:
     f0, f1, f2 = fs
     shift = d.scalar[0] / (spec.n - 1.0)
@@ -180,7 +176,7 @@ def _integrability_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]
 
 def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s):
     """Order-0 spectrum, lapse rows, static channels and D classes from one frame."""
-    d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s)
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s, range(3))
     dc = ce._d_jet(spec.n, fs[1][None], d.lambda_1, d.lambda_block, d.scalar)[0]
     return d, fs, _static_channels(spec, fs, d), dc
 
@@ -202,7 +198,7 @@ def static_pointwise(
     """
     if s is None:
         s = spec.evaluation_grid()
-    return _static_channels(spec, _rows(f, s), ce.eigenvalue_derivatives(spec, s, order=0))
+    return _static_rows(spec, f, s)[2]
 
 
 def static_residual(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
@@ -359,7 +355,7 @@ def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
 def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     """Static, harmonic and integrability channels in one report."""
     s = spec.evaluation_grid()
-    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), _rows(f, s)
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), _rows(f, s, range(3))
     point = _static_channels(spec, fs, d)
     point.update(_harmonic_channels(spec, d))
     point.update(_integrability_channels(spec, d))

@@ -202,6 +202,14 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
     )
 
 
+def _finite(name: str, value) -> float:
+    """value as a float; NaN and infinities are refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise BadRange(f"{name} must be finite, got {value}")
+    return value
+
+
 def _interval(domain) -> tuple[float, float]:
     """domain as a pair of floats; non-finite or empty intervals are refused."""
     lo, hi = float(domain[0]), float(domain[1])
@@ -238,9 +246,7 @@ class FiberBlock:
         if self.model not in ("line", "space_form", "abstract_einstein"):
             raise UnsupportedKind(f"unknown fiber model {self.model!r}")
         object.__setattr__(self, "dim", _whole(self.dim, "block dimension"))
-        object.__setattr__(self, "k", float(self.k))
-        if not math.isfinite(self.k):
-            raise BadRange(f"curvature constant k must be finite, got {self.k}")
+        object.__setattr__(self, "k", _finite("curvature constant k", self.k))
         if self.dim == 1:
             object.__setattr__(self, "model", "line")
             object.__setattr__(self, "k", 0.0)

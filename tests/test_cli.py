@@ -65,6 +65,24 @@ def sampled_doc(name="round_sphere", samples=513):
     return doc
 
 
+def vanishing_doc(n, domain, grid=64):
+    """One (n-1)-block warped by sin(s) over domain, which reaches sin(s) <= 0."""
+    return {
+        "n": n,
+        "domain": list(domain),
+        "grid": grid,
+        "blocks": [
+            {
+                "dim": n - 1,
+                "model": "space_form",
+                "k": 1.0,
+                "warping": {"kind": "sin-scaled", "params": [1.0, 1.0]},
+            }
+        ],
+        "lapse": {"kind": "sin-cos", "params": [0.0, 1.0, 1.0]},
+    }
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -104,26 +122,29 @@ class TestVerify:
         assert json.loads(out)["tolerance"] == 0.5
 
     def test_invalid_spec_reports_violations(self, tmp_path, capsys):
-        doc = {
-            "n": 4,
-            "domain": [0.0, 6.0],
-            "grid": 64,
-            "blocks": [
-                {
-                    "dim": 3,
-                    "warping": {"kind": "sin-scaled", "params": [1.0, 1.0]},
-                    "model": "space_form",
-                    "k": 1.0,
-                }
-            ],
-            "lapse": {"kind": "constant", "params": [1.0]},
-        }
-        path = write_json(tmp_path, doc)
-        code, out, _ = run(capsys, ["verify", path])
-        assert code == 1
-        emitted = json.loads(out)
-        assert emitted["valid"] is False
-        assert any(v[1] == "block[0].positivity" for v in emitted["violations"])
+        target = tmp_path / "out.csv"
+        unit_lapse = {"kind": "constant", "params": [1.0]}
+        for doc in (
+            dict(vanishing_doc(4, (0.0, 6.0)), lapse=unit_lapse),
+            vanishing_doc(5, (-1.0, 1.0)),
+        ):
+            for command in ("verify", "classify", "report"):
+                argv = [command, write_json(tmp_path, doc)]
+                argv += [str(target)] if command == "report" else []
+                code, out, _ = run(capsys, argv)
+                assert code == 1, command
+                emitted = json.loads(out)
+                assert emitted["valid"] is False
+                assert any(v[1] == "block[0].positivity" for v in emitted["violations"])
+                assert not target.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_bad_input(self, tmp_path, capsys, tol):
+        path = write_json(tmp_path, flat_doc())
+        code, out, err = run(capsys, ["verify", path, f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input") and "--tol must be finite" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.json")])
@@ -255,26 +276,12 @@ class TestClassify:
         assert doc["diagnostics"]["detail"].startswith("residual gate failed")
 
     def test_nan_residual_exits_one(self, tmp_path, capsys):
-        # The warping vanishes at s = 0; the NaN it makes must fail the gate.
-        doc = {
-            "n": 5,
-            "domain": [-1.0, 1.0],
-            "grid": 1025,
-            "blocks": [
-                {
-                    "dim": 4,
-                    "model": "space_form",
-                    "k": 1.0,
-                    "warping": {"kind": "sin-scaled", "params": [1.0, 1.0]},
-                }
-            ],
-            "lapse": {"kind": "sin-cos", "params": [0.0, 1.0, 1.0]},
-        }
-        path = write_json(tmp_path, doc)
+        # The warping vanishes at s = 0, so validation refuses the document.
+        path = write_json(tmp_path, vanishing_doc(5, (-1.0, 1.0), grid=1025))
         with np.errstate(all="ignore"):
             code, out, _ = run(capsys, ["classify", path])
         assert code == 1
-        assert json.loads(out)["label"] == "Invalid"
+        assert json.loads(out)["valid"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +353,24 @@ class TestSolveOde:
         )
         assert code == 2
         assert "--periodic needs --k" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--h0-prime", "nan"], "h0_prime"),
+            (["--domain", "0", "inf"], "domain"),
+            (["--step", "inf"], "step"),
+            (["--periodic", "--k", "nan"], "k"),
+        ],
+    )
+    def test_non_finite_input_is_bad_input(self, capsys, flags, field):
+        code, out, err = run(
+            capsys,
+            ["solve-ode", "--power", "4", "--linear-coeff", "1.0", "--forcing", "1.0"] + flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input") and field in err and "finite" in err
 
     def test_bad_power(self, capsys):
         code, _, err = run(

@@ -25,6 +25,7 @@ from staticgeo.errors import (
     InsufficientFiberData,
     OutOfDomain,
 )
+from staticgeo.ode_solver import OdeBackedProfile, WarpingODEParams
 from staticgeo.profiles import PolynomialProfile, SampledProfile
 from staticgeo.static_verifier import (
     check_lemma41,
@@ -36,6 +37,7 @@ from staticgeo.static_verifier import (
     verify_pair,
 )
 from staticgeo.warped_geometry import (
+    GRID_MARGIN_STEPS,
     FiberBlock,
     LapseFunction,
     WarpedProductSpec,
@@ -506,6 +508,33 @@ class TestEngineErrors:
                 ce.bach_spectrum(spec, outside)
             with pytest.raises(OutOfDomain):
                 ce.d_tensor_derivatives(spec, reference_lapse(), outside)
+
+    @pytest.mark.parametrize("case", ["frame", "sampled", "ode_backed"])
+    def test_domain_slack_is_a_billionth_of_a_step(self, case):
+        if case == "frame":
+            spec = reference_spec(4)
+            margin = GRID_MARGIN_STEPS * spec.step
+            lo, hi, step = spec.domain[0] + margin, spec.domain[1] - margin, spec.step
+
+            def read(s):
+                return ce.ricci_spectrum(spec, s)
+        elif case == "sampled":
+            prof = SampledProfile(0.0, 0.1, 2.0 + np.sin(0.1 * np.arange(20)))
+            # The order-3 stencil keeps three steps from either end.
+            lo, hi, step = prof.s_start + 3 * prof.step, prof.s_end - 3 * prof.step, prof.step
+
+            def read(s):
+                return prof.derivative(s, 3)
+        else:
+            prof = OdeBackedProfile(WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0)))
+            lo, hi, step = prof.s_lo, prof.s_hi, prof.dt
+
+            def read(s):
+                return prof.derivative(s, 0)
+        read(np.array([lo - 0.5e-9 * step, hi + 0.5e-9 * step]))
+        for outside in (lo - 2e-9 * step, hi + 2e-9 * step):
+            with pytest.raises(OutOfDomain, match=r"\[.*, .*\]"):
+                read(np.array([outside]))
 
     def test_derivative_tower_limit_surfaces(self):
         grid = np.linspace(-1.0, 3.0, 801)

@@ -121,10 +121,21 @@ class TestParams:
         with pytest.raises(BadRange, match="power"):
             WarpingODEParams(power, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
 
-    @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "domain", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]
+    )
     def test_empty_domain(self, domain):
         with pytest.raises(BadRange, match="domain"):
             WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, domain)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", ["linear_coeff", "forcing", "h0", "h0_prime", "step"])
+    def test_non_finite_field(self, name, bad):
+        fields = dict(power=4, linear_coeff=1.0, forcing=1.0, h0=1.0, h0_prime=0.0,
+                      domain=(0.0, 1.0), step=0.01)
+        fields[name] = bad
+        with pytest.raises(BadRange, match=f"{name} must be finite"):
+            WarpingODEParams(**fields)
 
     @pytest.mark.parametrize("step", [0.0, -0.1])
     def test_bad_step(self, step):
@@ -390,6 +401,16 @@ class TestTurningPoint:
         params = WarpingODEParams(4, 1.0, c0, 1.0, 0.0, (0.0, 1.0))
         with pytest.raises(NonPositiveInput, match="forcing"):
             turning_point(params, 2.0, "inner")
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("search", [
+        lambda params, k: turning_point(params, k, "outer"),
+        lambda params, k: turning_point(params, k, "inner"),
+        find_periodic,
+    ])
+    def test_non_finite_value(self, fiber_params, search, k):
+        with pytest.raises(BadRange, match="k must be finite"):
+            search(fiber_params, k)
 
     def test_unknown_branch(self, fiber_params):
         with pytest.raises(BadRange, match="branch"):

@@ -10,14 +10,15 @@ metric-level constructions straight to the clustering logic.
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from staticgeo import cli, jets, profiles
 from staticgeo import curvature_engine as ce
-from staticgeo import profiles
 from staticgeo import static_verifier as sv
 from staticgeo.catalog import CATALOG_NAMES, build_entry
 from staticgeo.errors import WrongBlockCount
@@ -47,6 +48,7 @@ from staticgeo.warped_geometry import (
     FiberBlock,
     WarpedProductSpec,
     WarpingFunction,
+    _Function,
     make_analytic_warping,
     make_lapse,
     make_sampled_warping,
@@ -567,6 +569,54 @@ def warping_calls(monkeypatch):
     for name in ("value", "derivative"):
         monkeypatch.setattr(WarpingFunction, name, recording(getattr(WarpingFunction, name)))
     return calls
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """One flag per warping or lapse read while the test runs: True inside jets._rows."""
+    calls, inside = [], []
+    rows = jets._rows
+
+    def reading(*args):
+        inside.append(True)
+        try:
+            return rows(*args)
+        finally:
+            inside.pop()
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("staticgeo") and vars(module).get("_rows") is rows:
+            monkeypatch.setattr(module, "_rows", reading)
+    derivative = _Function.derivative
+
+    def recording(self, s, order):
+        calls.append(bool(inside))
+        return derivative(self, s, order)
+
+    monkeypatch.setattr(_Function, "derivative", recording)
+    return calls
+
+
+READERS = {
+    "verify_pair": verify_pair,
+    "classify": classify,
+    "identity_dcw": identity_dcw,
+    "identity_db": identity_db,
+    "check_lemma41": check_lemma41,
+    "d_tensor_derivatives": lambda spec, f: ce.d_tensor_derivatives(
+        spec, f, spec.evaluation_grid(), 2
+    ),
+    "static_pointwise": static_pointwise,
+    "report_columns": cli._report_columns,
+}
+
+
+@pytest.mark.parametrize("name", ["type_ii", "type_iv"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_read_comes_through_the_row_reader(entry_by_name, reader_calls, name, reader):
+    e = entry_by_name[name]
+    READERS[reader](e.spec, e.lapse)
+    assert reader_calls and all(reader_calls)
 
 
 class TestOneFramePerAudit:
