@@ -202,8 +202,9 @@ def _rk4_states(p: int, c1: float, c0: float, h: float, hp: float, dt: float):
 class OdeBackedProfile(Profile):
     """Dense-output trajectory of the warping equation.
 
-    Stores the fixed-step nodes and evaluates anywhere in the domain by
-    one Runge-Kutta step from the node just below the query point.
+    Stores the fixed-step nodes (read-only arrays) and evaluates anywhere
+    in the domain by one Runge-Kutta step from the node just below the
+    query point.
     Orders 2 through 4 are read off the equation:
 
         h''   = c0 h^(-p) - c1 h
@@ -236,6 +237,8 @@ class OdeBackedProfile(Profile):
         self.dt = dt
         self.h_nodes = h
         self.hp_nodes = hp
+        h.setflags(write=False)
+        hp.setflags(write=False)
 
     def _state(self, s):
         s = _within(

@@ -11,6 +11,14 @@ and integrability channels, and classify's gate, clusters, D-tensor and
 warping rows.  Each dense audit (identity_dcw, identity_db,
 check_lemma41) likewise reads one frame for all of its tensors.
 
+verify_pair keeps its last report in a one-entry slot keyed by the
+identity of the spec and lapse objects (function equality ignores the
+profile, so a value key could hand back another lapse's report).  classify
+takes its report from verify_pair, so verify_pair then classify of the
+same pair builds one frame, and then empties the slot: the slot bridges
+that one step and keeps no evaluation alive past the answer.  The stored
+report's arrays are read-only.
+
 The frame is built once over the whole grid; identity_dcw and identity_db
 then materialize their dense tensors in fixed-size chunks of grid points
 (_CHUNK_POINTS), so their peak memory does not grow with the grid, and
@@ -352,15 +360,32 @@ def check_lemma41(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     )
 
 
+# The last verify_pair as (spec, lapse, report), matched by identity; the
+# strong references keep both ids from being reused while stored.
+_EMPTY = (None, None, None)
+_last_pair = _EMPTY
+
+
 def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
-    """Static, harmonic and integrability channels in one report."""
+    """Static, harmonic and integrability channels in one report.
+
+    A call on the same spec and lapse objects as the stored one returns
+    the stored report; any other call computes and stores its own.
+    """
+    global _last_pair
+    last_spec, last_f, last_report = _last_pair  # one read: no torn entry
+    if last_spec is spec and last_f is f:
+        return last_report
     s = spec.evaluation_grid()
-    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), _rows(f, s, range(3))
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), tuple(_rows(f, s, range(3)))
     point = _static_channels(spec, fs, d)
     point.update(_harmonic_channels(spec, d))
     point.update(_integrability_channels(spec, d))
     report = _report(point, s)
+    for a in (s, *fs, *vars(d).values()):
+        a.setflags(write=False)
     object.__setattr__(report, "_evaluation", (d, fs))
+    _last_pair = (spec, f, report)
     return report
 
 
@@ -416,11 +441,14 @@ def classify(
     structure checks.  A failed gate or an unrecognized structure comes
     back as "Invalid" with the reason in `detail`; three or more distinct
     fiber eigenvalues with everything else consistent come back as
-    "ViolatesThm42".
+    "ViolatesThm42".  The report comes from verify_pair (the stored one
+    when the pair was just verified), and the slot is emptied after it.
     """
+    global _last_pair
     if tol is None:
         tol = tier_for(spec, f)
     report = verify_pair(spec, f)
+    _last_pair = _EMPTY
     d, fs = report._evaluation
     lam1, lam_blk, scal, xi = d.lambda_1[0], d.lambda_block[0], d.scalar[0], d.xi[0]
     dims = [b.dim for b in spec.blocks]

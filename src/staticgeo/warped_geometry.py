@@ -34,6 +34,7 @@ from .profiles import (
     PolynomialProfile,
     Profile,
     SampledProfile,
+    ScaledDerivativeProfile,
     ScaledProfile,
     SumProfile,
     TrigProfile,
@@ -67,29 +68,33 @@ GRID_MARGIN_STEPS = 2
 _WARPING, _LAPSE, _BOTH = ("warping",), ("lapse",), ("warping", "lapse")
 
 # Every kind a document can name: the roles it plays, the fewest and the
-# most parameters it takes (None: no upper bound), and the profile it builds
-# from them.  The parsers below build the kinds that also need the
-# document's domain or blocks (ode-backed, derived) and send sampled
-# warpings through make_sampled_warping, which checks their positivity.
+# most parameters it takes (None: no upper bound), the parameters that carry
+# its value (c * f multiplies them by c; None: no such slice), and the
+# profile it builds from them.  The parsers below build the kinds that also
+# need the document's domain or blocks (ode-backed, derived) and send
+# sampled warpings through make_sampled_warping, which checks their
+# positivity.
+_ALL, _FIRST, _FIRST_TWO = slice(None), slice(0, 1), slice(0, 2)
 _KINDS = {
-    "constant": (_BOTH, 1, 1, PolynomialProfile),  # (value,)
-    "linear": (_BOTH, 2, 2, PolynomialProfile),  # (intercept, slope)
-    "poly": (_LAPSE, 1, None, PolynomialProfile),  # (c0, c1, c2, ...)
+    "constant": (_BOTH, 1, 1, _ALL, PolynomialProfile),  # (value,)
+    "linear": (_BOTH, 2, 2, _ALL, PolynomialProfile),  # (intercept, slope)
+    "poly": (_LAPSE, 1, None, _ALL, PolynomialProfile),  # (c0, c1, c2, ...)
     # (amplitude, frequency[, phase]): A sin(w s + phase), and so on
-    "sin-scaled": (_WARPING, 2, 3, lambda p: TrigProfile(p[0], 0.0, *p[1:])),
-    "cos-scaled": (_WARPING, 2, 3, lambda p: TrigProfile(0.0, *p)),
-    "sinh-scaled": (_WARPING, 2, 3, lambda p: HyperbolicProfile(p[0], 0.0, *p[1:])),
-    "cosh-scaled": (_WARPING, 2, 3, lambda p: HyperbolicProfile(0.0, *p)),
+    "sin-scaled": (_WARPING, 2, 3, _FIRST, lambda p: TrigProfile(p[0], 0.0, *p[1:])),
+    "cos-scaled": (_WARPING, 2, 3, _FIRST, lambda p: TrigProfile(0.0, *p)),
+    "sinh-scaled": (_WARPING, 2, 3, _FIRST, lambda p: HyperbolicProfile(p[0], 0.0, *p[1:])),
+    "cosh-scaled": (_WARPING, 2, 3, _FIRST, lambda p: HyperbolicProfile(0.0, *p)),
     # (c_sin, c_cos, frequency[, phase]), (c_sinh, c_cosh, frequency[, phase])
-    "sin-cos": (_LAPSE, 3, 4, lambda p: TrigProfile(*p)),
-    "sinh-cosh": (_LAPSE, 3, 4, lambda p: HyperbolicProfile(*p)),
+    "sin-cos": (_LAPSE, 3, 4, _FIRST_TWO, lambda p: TrigProfile(*p)),
+    "sinh-cosh": (_LAPSE, 3, 4, _FIRST_TWO, lambda p: HyperbolicProfile(*p)),
     # (s_start, step, v0, v1, ...); SampledProfile asks for nine samples
-    "sampled": (_BOTH, 3, None, lambda p: SampledProfile(p[0], p[1], p[2:])),
+    "sampled": (_BOTH, 3, None, slice(2, None), lambda p: SampledProfile(p[0], p[1], p[2:])),
     # (power, linear_coeff, forcing, h0, h0_prime[, step]); see ode_solver
-    "ode-backed": (_WARPING, 5, 6, None),
+    "ode-backed": (_WARPING, 5, 6, None, None),
     # (scale[, block]): f = scale * h' for the warping h of that block
-    "derived": (_LAPSE, 1, 2, None),
+    "derived": (_LAPSE, 1, 2, _FIRST, None),
 }
+_UNKNOWN_KIND = ((), 0, 0, None, None)
 
 WARPING_KINDS = frozenset(k for k, row in _KINDS.items() if "warping" in row[0])
 LAPSE_KINDS = frozenset(k for k, row in _KINDS.items() if "lapse" in row[0])
@@ -133,20 +138,37 @@ class LapseFunction(_Function):
     """Scalar factor f(s) paired with a spec by the verification routines."""
 
     def rescaled(self, c: float) -> "LapseFunction":
-        """The lapse c * f; c must be nonzero."""
+        """The lapse c * f, rebuilt through its own kind; c must be nonzero.
+
+        The parameters that carry the value are multiplied by c, so the
+        result compares unequal to f (for c != 1) and writes and reloads as
+        c * f.  A lapse that no kind builds (see perturbed_lapse) is scaled
+        as a profile and keeps its tag; it has no document either.
+        """
         if c == 0.0:
             raise ZeroScale("lapse rescaling factor must be nonzero")
-        return LapseFunction(
-            self.kind,
-            self.params,
-            self.derivative_order,
-            ScaledProfile(self.profile, float(c)),
-        )
+        c = float(c)
+        amplitude = _KINDS.get(self.kind, _UNKNOWN_KIND)[3]
+        if amplitude is None or not _has_document(self):
+            return replace(self, profile=ScaledProfile(self.profile, c))
+        params = list(self.params)
+        params[amplitude] = [c * p for p in params[amplitude]]
+        if self.kind == "derived":
+            profile = ScaledDerivativeProfile(self.profile.base, c * self.profile.factor)
+        else:
+            params, build = _checked("lapse", self.kind, params)
+            profile = build(params)
+        return replace(self, params=tuple(params), profile=profile)
+
+
+def _has_document(fn: _Function) -> bool:
+    """False for a function whose profile no kind builds (a sum or a scaled copy)."""
+    return not isinstance(fn.profile, (SumProfile, ScaledProfile))
 
 
 def _checked(role: str, kind, params):
     """params as floats and kind's profile builder, once role, count and finiteness pass."""
-    roles, fewest, most, build = _KINDS.get(kind, ((), 0, 0, None))
+    roles, fewest, most, _, build = _KINDS.get(kind, _UNKNOWN_KIND)
     if role not in roles:
         raise UnsupportedKind(f"unknown {role} kind {kind!r}")
     params = tuple(map(float, params))
@@ -195,7 +217,12 @@ def make_lapse(kind: str, params) -> LapseFunction:
 
 
 def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
-    """f plus an additive analytic term (used by negative tests)."""
+    """f plus an additive analytic term (used by negative tests).
+
+    No kind builds the sum, so the result keeps f's kind and parameters: it
+    compares equal to f (function equality ignores the profile), and
+    _problem_dict refuses to write it rather than write f.
+    """
     return LapseFunction(
         f.kind, f.params, min(f.derivative_order, extra.max_order),
         SumProfile(f.profile, extra),
@@ -406,6 +433,8 @@ def _problem_dict(spec: WarpedProductSpec, lapse: LapseFunction) -> dict:
     """The document that load_problem reads back as (spec, lapse)."""
 
     def function(fn: _Function) -> dict:
+        if not _has_document(fn):
+            raise BadRange(f"a {fn.kind} function over a sum or scaled profile has no document")
         return {"kind": fn.kind, "params": list(fn.params)}
 
     blocks = [

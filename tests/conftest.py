@@ -3,6 +3,7 @@
 import pytest
 
 from staticgeo import curvature_engine as ce
+from staticgeo import static_verifier as sv
 from staticgeo.catalog import default_catalog
 
 
@@ -14,6 +15,16 @@ def catalog_entries():
 @pytest.fixture(scope="session")
 def entry_by_name(catalog_entries):
     return {e.name: e for e in catalog_entries}
+
+
+@pytest.fixture(autouse=True)
+def empty_pair_memo():
+    """Each test starts without a report stored by an earlier test's verify_pair.
+
+    The session's catalog objects are shared, so a stored report would
+    otherwise carry over into a test that counts or patches the work.
+    """
+    sv._last_pair = sv._EMPTY
 
 
 @pytest.fixture

@@ -219,6 +219,12 @@ class TestIntegration:
             prof.derivative(s, 2), c0 * h ** (-p) - c1 * h
         )
 
+    def test_nodes_are_read_only(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        for nodes in (prof.h_nodes, prof.hp_nodes):
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+
     def test_wrapped_warping_metadata(self, fiber_params):
         w = integrate_warping(fiber_params)
         assert w.kind == "ode-backed"

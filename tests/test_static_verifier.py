@@ -11,6 +11,7 @@ metric-level constructions straight to the clustering logic.
 
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from staticgeo import cli, jets, profiles
 from staticgeo import curvature_engine as ce
 from staticgeo import static_verifier as sv
 from staticgeo.catalog import CATALOG_NAMES, build_entry
-from staticgeo.errors import WrongBlockCount
+from staticgeo.errors import DerivativeOrderUnavailable, WrongBlockCount
 from staticgeo.ode_solver import WarpingODEParams, integrate_warping, lapse_from_warping
 from staticgeo.profiles import PolynomialProfile, SumProfile, TrigProfile, fd_weights
 from staticgeo.static_verifier import (
@@ -467,6 +468,9 @@ class TestOneFrame:
         verify_pair(e.spec, e.lapse)
         assert len(frame_builds) == 1
         classify(e.spec, e.lapse)
+        assert len(frame_builds) == 1
+        # classify released the stored report: a fresh pair builds one frame.
+        classify(e.spec, e.lapse)
         assert len(frame_builds) == 2
 
     def test_label_carries_the_report_it_gated_on(self, entry_by_name):
@@ -476,6 +480,107 @@ class TestOneFrame:
         assert "report" not in got.to_dict()
         assert "report" not in repr(got)
         assert got == replace(got, report=static_residual(e.spec, e.lapse))
+
+
+# The ten entries and two resampled documents, as (entry, samples or None).
+ANSWER_PAIRS = [(name, None) for name in CATALOG_NAMES] + [
+    ("round_sphere", 513), ("type_ii", 1025)
+]
+
+
+def answer_pair(entry_by_name, name, num):
+    e = entry_by_name[name]
+    return (e.spec, e.lapse) if num is None else resampled(e, num)
+
+
+class TestVerifyThenClassify:
+    """classify reuses the report verify_pair just built for the same objects."""
+
+    @pytest.mark.parametrize("name, num", ANSWER_PAIRS)
+    def test_classify_reuses_the_report(self, entry_by_name, frame_builds, name, num):
+        spec, lapse = answer_pair(entry_by_name, name, num)
+        report = verify_pair(spec, lapse)
+        label = classify(spec, lapse)
+        assert len(frame_builds) == 1
+        assert label.report is report
+        fresh = classify(spec, lapse)
+        assert len(frame_builds) == 2
+        assert fresh.report is not report
+        assert label.to_dict() == fresh.to_dict()
+        assert report.to_dict() == fresh.report.to_dict()
+
+    @pytest.mark.parametrize("name", ["example1", "type_iv"])
+    def test_the_key_is_identity(self, entry_by_name, frame_builds, name):
+        e = entry_by_name[name]
+        for spec, lapse in ((replace(e.spec), e.lapse), (e.spec, e.lapse.rescaled(1.0))):
+            assert (spec, lapse) == (e.spec, e.lapse)
+            report = verify_pair(e.spec, e.lapse)
+            built = len(frame_builds)
+            label = classify(spec, lapse)
+            assert len(frame_builds) == built + 1
+            assert label.report is not report
+            assert label.report.to_dict() == report.to_dict()
+
+    def test_interleaved_pairs_miss(self, entry_by_name, frame_builds):
+        a, b = entry_by_name["example1"], entry_by_name["type_ii"]
+        report_a = verify_pair(a.spec, a.lapse)
+        verify_pair(b.spec, b.lapse)
+        label = classify(a.spec, a.lapse)
+        assert len(frame_builds) == 3
+        assert label.report is not report_a
+        assert label.report.to_dict() == report_a.to_dict()
+        classify(b.spec, b.lapse)
+        assert len(frame_builds) == 4
+
+    def test_a_failed_call_stores_nothing(self, entry_by_name):
+        e = entry_by_name["type_ii"]
+        report = verify_pair(e.spec, e.lapse)
+        short = replace(e.lapse, derivative_order=1)
+        with pytest.raises(DerivativeOrderUnavailable):
+            verify_pair(e.spec, short)
+        assert classify(e.spec, e.lapse).report is report
+
+    def test_threads_get_their_own_pair(self, entry_by_name):
+        # Four threads share the slot, and each must always get its own
+        # pair's report; round_sphere and type_ii have value-equal lapses.
+        names = ["round_sphere", "type_ii", "example1", "type_iii"]
+        pairs = [
+            (replace(entry_by_name[n].spec, grid_points=64), entry_by_name[n].lapse)
+            for n in names
+        ]
+        want = [classify(*p).report.to_dict() for p in pairs]
+        wrong, done = [], [0] * len(pairs)
+
+        def work(i):
+            for _ in range(30):
+                got = verify_pair(*pairs[i]).to_dict(), classify(*pairs[i]).report.to_dict()
+                if got != (want[i], want[i]):
+                    wrong.append(names[i])
+                done[i] += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert done == [30] * len(pairs)
+        assert wrong == []
+
+    def test_stored_arrays_are_read_only(self, entry_by_name):
+        e = entry_by_name["type_iv"]
+        report = verify_pair(e.spec, e.lapse)
+        d, fs = report._evaluation
+        arrays = [report.grid, *fs, d.lambda_1, d.lambda_block, d.scalar, d.xi, d.h]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
+        assert classify(e.spec, e.lapse).report is report
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from staticgeo.catalog import CATALOG_NAMES
 from staticgeo.errors import (
     BadRange,
     DerivativeOrderUnavailable,
@@ -893,3 +894,85 @@ class TestWireFormat:
         del doc["lapse"]
         with pytest.raises(KeyError):
             load_problem(doc)
+
+
+# ---------------------------------------------------------------------------
+# Rescaled and perturbed lapses as documents
+# ---------------------------------------------------------------------------
+
+
+def doc_lapse(kind, params):
+    """good_doc's spec with the given lapse, loaded."""
+    doc = good_doc()
+    doc["lapse"] = {"kind": kind, "params": list(params)}
+    return load_problem(doc)
+
+
+# The lapse kinds of the ten catalog entries, the derived one on a block other
+# than the first, and the remaining closed-form and sampled kinds.
+RESCALE_CASES = [*CATALOG_NAMES, "derived-block-1", "constant", "poly", "sampled"]
+
+
+def rescale_case(entry_by_name, case):
+    if case in entry_by_name:
+        e = entry_by_name[case]
+        return e.spec, e.lapse
+    if case == "derived-block-1":
+        doc = good_doc()
+        doc["n"] = 5
+        doc["blocks"].append(
+            {"dim": 1, "warping": {"kind": "sinh-scaled", "params": [1.0, 1.0]},
+             "model": "line", "k": 0.0}
+        )
+        doc["lapse"] = {"kind": "derived", "params": [2.0, 1.0]}
+        return load_problem(doc)
+    if case == "sampled":
+        s = np.linspace(0.0, 2.1, 211)
+        return doc_lapse("sampled", (0.0, 0.01, *(1.5 + np.sin(3.0 * s))))
+    return doc_lapse(case, {"constant": (1.5,), "poly": (1.0, -0.5, 0.25)}[case])
+
+
+class TestRescaledLapse:
+    @pytest.mark.parametrize("case", RESCALE_CASES)
+    def test_rescaled_is_a_different_lapse(self, entry_by_name, case):
+        _, f = rescale_case(entry_by_name, case)
+        for c in (2.0, -0.5):
+            g = f.rescaled(c)
+            assert g != f
+            assert g == f.rescaled(c)
+            assert g.kind == f.kind
+            assert g.derivative_order == f.derivative_order
+
+    @pytest.mark.parametrize("case", RESCALE_CASES)
+    def test_rescaled_document_reloads_as_the_scaled_lapse(self, entry_by_name, case):
+        spec, f = rescale_case(entry_by_name, case)
+        s = spec.evaluation_grid()
+        for c in (2.0, -0.5):
+            g = f.rescaled(c)
+            doc = json.loads(json.dumps(_problem_dict(spec, g)))
+            again, back = load_problem(doc)
+            assert back == g
+            assert _problem_dict(again, back) == doc
+            for order in range(3):
+                want = c * np.asarray(f.derivative(s, order))
+                atol = 1e-14 * float(np.max(np.abs(want)))
+                for got in (g.derivative(s, order), back.derivative(s, order)):
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=atol)
+
+    def test_rescaled_scales_only_the_amplitudes(self):
+        _, f = doc_lapse("sin-cos", (0.5, 1.0, 2.0, 0.25))
+        assert f.rescaled(-2.0).params == (-1.0, -2.0, 2.0, 0.25)
+        _, f = doc_lapse("sampled", (0.0, 0.5, *range(1, 10)))
+        assert f.rescaled(3.0).params == (0.0, 0.5, *(3.0 * v for v in range(1, 10)))
+
+    def test_perturbed_lapse_has_no_document(self):
+        spec, f = doc_lapse("linear", (1.0, 0.25))
+        bumped = perturbed_lapse(f, PolynomialProfile((0.0, 0.0, 0.1)))
+        assert bumped == f
+        for lapse in (bumped, bumped.rescaled(2.0)):
+            with pytest.raises(BadRange, match="no document"):
+                _problem_dict(spec, lapse)
+        s = np.array([0.5, 1.5])
+        np.testing.assert_allclose(
+            bumped.rescaled(2.0).value(s), 2.0 * (f.value(s) + 0.1 * s**2), rtol=1e-15
+        )
