@@ -189,11 +189,8 @@ class _Frame:
         return w_base, w_intra, w_cross
 
     def cotton_jets(self):
-        # C_{a1a} = (A_11 - A_aa) xi_a - A_aa'
-        prod = jmul(self.A1[:, None] - self.Ablk, self.xi)
-        d_a = jder(self.Ablk)
-        rows = min(prod.shape[0], d_a.shape[0])
-        return prod[:rows] - d_a[:rows]
+        # C_{a1a} = (A_11 - A_aa) xi_a - A_aa'; A_aa' is one jet order shorter.
+        return jmul(self.A1[:, None] - self.Ablk, self.xi)[:-1] - jder(self.Ablk)
 
     def bach(self) -> DiagonalTwoTensor:
         """bach_spectrum's values; needs lam_order >= 2 and space-form fibers."""

@@ -19,8 +19,8 @@ from the nearest stored node; all derivatives of order two and higher come
 from the differential equation, never from finite differences, so the
 equation residual of the profile is zero by construction.
 
-Turning points and orbit crossings come from `_brentq`, a port of scipy's
-Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
+Turning points and the orbit's return crossing come from `_brentq`, a port
+of scipy's Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
 
 Known limitation: the nodes are computed with scalar arithmetic, but
 dense output between them goes through NumPy's vectorised `power`, whose
@@ -68,8 +68,7 @@ _CLOSURE_TOL = 1e-8
 class WarpingODEParams:
     """Parameters and initial data for h'' + linear_coeff h = forcing h^(-power).
 
-    power must be an integer >= 2.  `a` is an alias for `forcing`, matching
-    the usual name of the constant in the single-fiber construction.
+    power must be an integer >= 2.
     """
 
     power: int
@@ -94,10 +93,6 @@ class WarpingODEParams:
             raise NonPositiveInput(
                 f"h0 must be positive when the singular term is active, got {self.h0}"
             )
-
-    @property
-    def a(self) -> float:
-        return self.forcing
 
     @property
     def effective_step(self) -> float:
@@ -421,8 +416,9 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
 
     Requires a confining potential (linear_coeff > 0 and forcing > 0) and
     k strictly above the potential minimum; the orbit starts at its
-    maximum (a root of the potential, h' = 0) and the period is located
-    by bisecting the h' sign changes of the dense trajectory.
+    maximum (a root of the potential, h' = 0), and the period ends at the
+    return crossing, the first step where h' goes from positive to
+    non-positive, located by one Brent solve on the dense trajectory.
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
     k = _finite("k", k)
@@ -443,26 +439,21 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
 
     s = 0.0
     h, hp = h_max, 0.0
-    crossings = 0
     for h_next, hp_next in _rk4_states(p, c1, c0, h, hp, dt):
-        if hp_next == 0.0 or (hp < 0.0 < hp_next) or (hp > 0.0 > hp_next):
-            # h' changes sign inside (s, s + dt]; locate the crossing.
+        if hp > 0.0 >= hp_next:
+            # Back at the maximum inside (s, s + dt]; locate the crossing.
             def hp_at(delta: float) -> float:
                 return _rk4_step(p, c1, c0, h, hp, delta)[1]
 
             delta = dt if hp_next == 0.0 else _brentq(hp_at, 0.0, dt)
-            crossings += 1
-            if crossings == 2:
-                period = s + delta
-                h_close = _rk4_step(p, c1, c0, h, hp, delta)[0]
-                if abs(h_close - h_max) > _CLOSURE_TOL * max(1.0, h_max):
-                    return None
-                orbit = WarpingODEParams(
-                    p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS
-                )
-                return PeriodicSolution(
-                    period, h_min, h_max, float(k), integrate_warping(orbit)
-                )
+            period = s + delta
+            h_close = _rk4_step(p, c1, c0, h, hp, delta)[0]
+            if abs(h_close - h_max) > _CLOSURE_TOL * max(1.0, h_max):
+                return None
+            orbit = WarpingODEParams(
+                p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS
+            )
+            return PeriodicSolution(period, h_min, h_max, float(k), integrate_warping(orbit))
         s += dt
         if not s < s_budget:
             return None

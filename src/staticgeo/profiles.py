@@ -66,9 +66,6 @@ class Profile:
     def derivative(self, s, order: int):
         raise NotImplementedError
 
-    def __call__(self, s):
-        return self.derivative(s, 0)
-
     def _check_order(self, order: int) -> None:
         if not 0 <= order <= self.max_order:
             raise DerivativeOrderUnavailable(

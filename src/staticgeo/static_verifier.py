@@ -5,10 +5,10 @@ the margin-shrunk evaluation grid.  Residuals are always written in a
 multiplied-through form (no division by the lapse or its derivative), so
 they stay finite across zeros of f.
 
-One spectrum evaluation (ce.eigenvalue_derivatives, a single curvature
-frame) feeds every channel of an answer: verify_pair's static, harmonic
-and integrability channels, and classify's gate, clusters, D-tensor and
-warping rows.  Each dense audit (identity_dcw, identity_db,
+One evaluation (_static_rows: one curvature frame, lapse rows, static
+channels and D classes) feeds every answer: verify_pair reads it at order 1
+and keeps it, and classify takes its gate, clusters, D classes and warping
+rows from that report.  Each dense audit (identity_dcw, identity_db,
 check_lemma41) likewise reads one frame for all of its tensors.
 
 verify_pair keeps its last report in a one-entry slot keyed by the
@@ -89,7 +89,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named residual channels over a grid; `_evaluation` keeps verify_pair's (d, fs)."""
+    """Named residual channels over a grid; `_evaluation` keeps verify_pair's (d, fs, dc)."""
 
     channels: Mapping[str, Channel]
     grid: np.ndarray = field(repr=False)
@@ -138,15 +138,13 @@ ANALYTIC = ToleranceProfile(residual=1e-8, distinct_rel=1e-6, structure=1e-8)
 ODE_BACKED = ToleranceProfile(residual=1e-5, distinct_rel=1e-6, structure=1e-5)
 
 
-def tier_for(spec: WarpedProductSpec, f: LapseFunction | None = None) -> ToleranceProfile:
-    """Pick the tolerance tier from the data sources involved.
+def tier_for(spec: WarpedProductSpec, f: LapseFunction) -> ToleranceProfile:
+    """Pick the tolerance tier from the data sources of the warpings and the lapse.
 
     Trajectory-backed or sampled inputs carry integration and stencil
     noise, so they get the looser tier.
     """
-    kinds = {b.warping.kind for b in spec.blocks}
-    if f is not None:
-        kinds.add(f.kind)
+    kinds = {f.kind, *(b.warping.kind for b in spec.blocks)}
     if kinds & {"ode-backed", "sampled", "derived"}:
         return ODE_BACKED
     return ANALYTIC
@@ -182,9 +180,9 @@ def _integrability_channels(spec: WarpedProductSpec, d) -> dict[str, np.ndarray]
     }
 
 
-def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s):
-    """Order-0 spectrum, lapse rows, static channels and D classes from one frame."""
-    d, fs = ce.eigenvalue_derivatives(spec, s, order=0), _rows(f, s, range(3))
+def _static_rows(spec: WarpedProductSpec, f: LapseFunction, s, order: int = 0):
+    """Spectrum to `order`, lapse rows 0-2, static channels and D classes from one frame."""
+    d, fs = ce.eigenvalue_derivatives(spec, s, order=order), tuple(_rows(f, s, range(3)))
     dc = ce._d_jet(spec.n, fs[1][None], d.lambda_1, d.lambda_block, d.scalar)[0]
     return d, fs, _static_channels(spec, fs, d), dc
 
@@ -377,14 +375,13 @@ def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     if last_spec is spec and last_f is f:
         return last_report
     s = spec.evaluation_grid()
-    d, fs = ce.eigenvalue_derivatives(spec, s, order=1), tuple(_rows(f, s, range(3)))
-    point = _static_channels(spec, fs, d)
+    d, fs, point, dc = _static_rows(spec, f, s, order=1)
     point.update(_harmonic_channels(spec, d))
     point.update(_integrability_channels(spec, d))
     report = _report(point, s)
-    for a in (s, *fs, *vars(d).values()):
+    for a in (s, *fs, dc, *vars(d).values()):
         a.setflags(write=False)
-    object.__setattr__(report, "_evaluation", (d, fs))
+    object.__setattr__(report, "_evaluation", (d, fs, dc))
     _last_pair = (spec, f, report)
     return report
 
@@ -449,7 +446,7 @@ def classify(
         tol = tier_for(spec, f)
     report = verify_pair(spec, f)
     _last_pair = _EMPTY
-    d, fs = report._evaluation
+    d, _, dc = report._evaluation
     lam1, lam_blk, scal, xi = d.lambda_1[0], d.lambda_block[0], d.scalar[0], d.xi[0]
     dims = [b.dim for b in spec.blocks]
     scale = max(float(np.max(np.abs(lam_blk))), float(np.max(np.abs(lam1))), 1e-12)
@@ -463,8 +460,7 @@ def classify(
     for cl_i, cl_j in itertools.combinations(clusters, 2):
         for a, b in itertools.product(cl_i, cl_j):
             xi_prod = max(xi_prod, float(np.max(np.abs(xi[a] * xi[b]))))
-    d_classes = ce._d_jet(spec.n, fs[1][None], d.lambda_1, d.lambda_block, d.scalar)
-    d_sup = float(np.max(np.abs(d_classes)))
+    d_sup = float(np.max(np.abs(dc)))
 
     def made(label: str, detail: str) -> TypeLabel:
         return TypeLabel(label, m, mults, xi_prod, d_sup, detail, report)

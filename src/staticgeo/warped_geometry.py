@@ -126,9 +126,6 @@ class _Function:
             )
         return self.profile.derivative(s, order)
 
-    def __call__(self, s):
-        return self.value(s)
-
 
 class WarpingFunction(_Function):
     """One warping factor h_j(s); kind is one of WARPING_KINDS."""

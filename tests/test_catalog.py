@@ -283,6 +283,11 @@ class TestBuilderRefusals:
         with pytest.raises(BadRange, match="n >= 3"):
             builder(n=2)
 
+    @pytest.mark.parametrize("builder", [build_type_ii, build_type_iii])
+    def test_circle_over_fiber_needs_four_dimensions(self, builder):
+        with pytest.raises(BadRange, match="need n >= 4"):
+            builder(n=3)
+
     def test_rigid_fiber_needs_curvature(self):
         with pytest.raises(ZeroK):
             build_example1(k=0.0)

@@ -83,6 +83,35 @@ def vanishing_doc(n, domain, grid=64):
     }
 
 
+def half_covered_doc():
+    """round_sphere with a sampled warping that covers only the first half of the domain."""
+    doc = build_entry("round_sphere").to_problem_dict()
+    lo, hi = doc["domain"]
+    s = np.linspace(lo, (lo + hi) / 2.0, 129)
+    params = [lo, float(s[1] - s[0]), *np.sin(s).tolist()]
+    doc["blocks"][0]["warping"] = {"kind": "sampled", "params": params}
+    return doc
+
+
+def zero_dim_block_doc():
+    """The flat document with a second, zero-dimensional block."""
+    doc = flat_doc()
+    doc["blocks"].append(
+        {"dim": 0, "model": "space_form", "k": 0.0,
+         "warping": {"kind": "constant", "params": [1.0]}}
+    )
+    return doc
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -137,6 +166,35 @@ class TestVerify:
                 assert emitted["valid"] is False
                 assert any(v[1] == "block[0].positivity" for v in emitted["violations"])
                 assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    @pytest.mark.parametrize(
+        "make, violation",
+        [
+            (half_covered_doc, [-1, "block[0].coverage", None]),
+            (zero_dim_block_doc, [-1, "block[1].dim", 0.0]),
+        ],
+        ids=["coverage", "dim"],
+    )
+    def test_refusals_print_strict_json(self, tmp_path, capsys, command, make, violation):
+        # A coverage violation carries no value: it prints as null, not NaN.
+        target = tmp_path / "out.csv"
+        argv = [command, write_json(tmp_path, make())]
+        code, out, _ = run(capsys, argv + ([str(target)] if command == "report" else []))
+        assert code == 1
+        assert strict_json(out) == {"valid": False, "violations": [violation]}
+        assert not target.exists()
+
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    @pytest.mark.parametrize("role", ["warping", "lapse"])
+    def test_non_positive_sample_step_is_bad_input(self, tmp_path, capsys, role, step):
+        doc = sampled_doc()
+        fn = doc["blocks"][0]["warping"] if role == "warping" else doc["lapse"]
+        fn["params"][1] = step
+        code, out, err = run(capsys, ["verify", write_json(tmp_path, doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input") and "sample step must be positive" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_is_bad_input(self, tmp_path, capsys, tol):

@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from oracle_tools import loop_ode_nodes, loop_orbit_search, loop_state_ok
-from staticgeo import catalog
+from staticgeo import catalog, ode_solver
 from staticgeo.errors import (
     BadRange,
     BlowUp,
@@ -107,10 +107,6 @@ class TestParams:
         p = WarpingODEParams.warped_factor(6, 5.0, 3, 1.0, 1.0, 0.0, (0.0, 1.0))
         assert p.power == 3
         assert p.linear_coeff == 5.0 / (5.0 * 4.0)
-
-    def test_forcing_alias(self):
-        p = WarpingODEParams(4, 1.0, 0.75, 1.0, 0.0, (0.0, 1.0))
-        assert p.a == 0.75
 
     def test_integral_float_power_is_coerced(self):
         p = WarpingODEParams(4.0, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
@@ -553,6 +549,25 @@ class TestFindPeriodic:
         sol = find_periodic(params, k)
         assert sol is not None
         assert sol.period == pytest.approx(2.0 * math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["standing", "example4", "type_iv"])
+    def test_one_crossing_solve_per_orbit(self, monkeypatch, fiber_params, name):
+        # The two turning points take one Brent solve each, and the return
+        # to h_max one more; the pass through h_min needs none.
+        if name == "standing":
+            proto, k = fiber_params, K_ORBIT
+        else:
+            args = catalog.build_entry(name).params
+            proto, k = orbit_proto(name, args), args["k"]
+        solves = []
+
+        def counted(f, a, b, **kwargs):
+            solves.append(f.__qualname__.split(".")[0])
+            return _brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(ode_solver, "_brentq", counted)
+        assert find_periodic(proto, k) is not None
+        assert sorted(solves) == ["find_periodic", "turning_point", "turning_point"]
 
     @pytest.mark.parametrize("R", [0.0, -20.0])
     def test_none_without_confinement(self, R):

@@ -9,6 +9,7 @@ the branch tests open the gate wide (residual tolerance 1e9) and feed
 metric-level constructions straight to the clustering logic.
 """
 
+import json
 import math
 import sys
 import threading
@@ -50,6 +51,7 @@ from staticgeo.warped_geometry import (
     WarpedProductSpec,
     WarpingFunction,
     _Function,
+    load_problem,
     make_analytic_warping,
     make_lapse,
     make_sampled_warping,
@@ -109,12 +111,10 @@ class TestToleranceTiers:
     def test_analytic_inputs_get_the_tight_tier(self, entry_by_name):
         e = entry_by_name["round_sphere"]
         assert tier_for(e.spec, e.lapse) is ANALYTIC
-        assert tier_for(e.spec) is ANALYTIC
 
     def test_trajectory_backed_inputs_get_the_loose_tier(self, entry_by_name):
         e = entry_by_name["example3"]
         assert tier_for(e.spec, e.lapse) is ODE_BACKED
-        assert tier_for(e.spec) is ODE_BACKED
 
     def test_derived_lapse_alone_loosens_the_tier(self, entry_by_name):
         params = WarpingODEParams.single_fiber(5, 20.0, 1.0, 1.3, 0.0, (0.0, 1.0))
@@ -135,7 +135,8 @@ class TestToleranceTiers:
             ),
             domain=(0.2, 0.8),
         )
-        assert tier_for(spec) is ODE_BACKED
+        # A constant lapse is analytic, so the tier comes from the warping alone.
+        assert tier_for(spec, make_lapse("constant", (1.0,))) is ODE_BACKED
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +573,63 @@ class TestVerifyThenClassify:
         assert done == [30] * len(pairs)
         assert wrong == []
 
+    @pytest.mark.parametrize("name", ["example1", "type_iv"])
+    def test_classify_reads_the_stored_d_classes(self, entry_by_name, monkeypatch, name):
+        e = entry_by_name[name]
+        calls = []
+        d_jet = ce._d_jet
+
+        def counted(*args):
+            calls.append(args)
+            return d_jet(*args)
+
+        monkeypatch.setattr(ce, "_d_jet", counted)
+        report = verify_pair(e.spec, e.lapse)
+        assert len(calls) == 1
+        label = classify(e.spec, e.lapse)
+        assert len(calls) == 1 and label.report is report
+        assert label.d_sup == float(np.max(np.abs(report._evaluation[2])))
+
     def test_stored_arrays_are_read_only(self, entry_by_name):
         e = entry_by_name["type_iv"]
         report = verify_pair(e.spec, e.lapse)
-        d, fs = report._evaluation
-        arrays = [report.grid, *fs, d.lambda_1, d.lambda_block, d.scalar, d.xi, d.h]
+        d, fs, dc = report._evaluation
+        arrays = [report.grid, *fs, dc, d.lambda_1, d.lambda_block, d.scalar, d.xi, d.h]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
         assert classify(e.spec, e.lapse).report is report
+
+
+def reversed_blocks(doc):
+    """The document with its blocks in reverse order; a derived lapse keeps its block."""
+    doc = json.loads(json.dumps(doc))
+    last = len(doc["blocks"]) - 1
+    doc["blocks"].reverse()
+    lapse = doc["lapse"]
+    if lapse["kind"] == "derived":
+        index = lapse["params"][1] if len(lapse["params"]) == 2 else 0.0
+        lapse["params"] = [lapse["params"][0], float(last - index)]
+    return doc
+
+
+class TestBlockOrder:
+    """Reordering the fiber blocks is a symmetry: the answers keep their bits."""
+
+    @pytest.mark.parametrize("name", ["type_ii", "type_iii", "type_iv"])
+    def test_reversed_blocks_give_the_same_answer(self, entry_by_name, name):
+        doc = entry_by_name[name].to_problem_dict()
+        flipped = reversed_blocks(doc)
+        assert flipped["blocks"] != doc["blocks"]
+        answers = []
+        for spec, lapse in (load_problem(doc), load_problem(flipped)):
+            label = classify(spec, lapse)
+            answers.append((
+                label.label, label.multiplicities, label.d_sup,
+                verify_pair(spec, lapse).max_sup(),
+            ))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == entry_by_name[name].expected_label
 
 
 # ---------------------------------------------------------------------------

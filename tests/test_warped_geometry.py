@@ -730,6 +730,25 @@ class TestValidation:
         assert not report.ok
         assert ("total_dim" in {v[1] for v in report.violations})
 
+    def test_dimension_zero_block_is_flagged(self):
+        spec = WarpedProductSpec(
+            blocks=(
+                FiberBlock(3, make_analytic_warping("cosh-scaled", (1.0, 1.0)), "space_form", 1.0),
+                FiberBlock(0, make_analytic_warping("constant", (1.0,))),
+            ),
+            domain=(-1.0, 1.0),
+        )
+        assert validate_spec(spec).violations == ((-1, "block[1].dim", 0.0),)
+
+    def test_short_sampled_warping_is_flagged_as_uncovered(self):
+        # The samples reach s = 0.5 of the domain [0, 1]; the library keeps NaN.
+        warping = make_sampled_warping(0.0, 1.0 / 64, 1.0 + np.linspace(0.0, 0.5, 33))
+        spec = WarpedProductSpec(
+            blocks=(FiberBlock(3, warping, "space_form", 1.0),), domain=(0.0, 1.0)
+        )
+        ((index, name, value),) = validate_spec(spec).violations
+        assert (index, name) == (-1, "block[0].coverage") and math.isnan(value)
+
 
 # ---------------------------------------------------------------------------
 # Wire format
