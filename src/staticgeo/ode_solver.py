@@ -19,8 +19,8 @@ from the nearest stored node; all derivatives of order two and higher come
 from the differential equation, never from finite differences, so the
 equation residual of the profile is zero by construction.
 
-Turning points and the orbit's return crossing come from `_brentq`, a port
-of scipy's Brent solver (Brent 1973) whose roots are bit-identical to scipy's.
+Turning points and the orbit's return crossing come from `_bisect`, which
+halves a sign-change bracket until its ends are adjacent floats.
 
 Known limitation: the nodes are computed with scalar arithmetic, but
 dense output between them goes through NumPy's vectorised `power`, whose
@@ -62,6 +62,8 @@ _H_FLOOR = 1e-10
 _STATE_CEIL = 1e12
 # An orbit closes when it returns to h_max within this relative distance.
 _CLOSURE_TOL = 1e-8
+# Most RK4 steps an explicit step may ask for (256 default integrations).
+_MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class WarpingODEParams:
         domain: tuple[float, float], step: float | None = None,
     ) -> "WarpingODEParams":
         """Warping of the full (n-1)-dimensional fiber of an n-manifold."""
-        return cls(n - 1, R / (n * (n - 1.0)), forcing, h0, h0_prime, domain, step)
+        return cls.warped_factor(n, R, n - 1, forcing, h0, h0_prime, domain, step)
 
     @classmethod
     def warped_factor(
@@ -114,10 +116,7 @@ class WarpingODEParams:
         h0_prime: float, domain: tuple[float, float], step: float | None = None,
     ) -> "WarpingODEParams":
         """Warping of a sub-factor of dimension sub_dim inside an n-manifold."""
-        return cls(
-            sub_dim, R / ((n - 1.0) * (sub_dim + 1.0)), forcing, h0, h0_prime,
-            domain, step,
-        )
+        return cls(sub_dim, _linear_coeff(n, R, sub_dim), forcing, h0, h0_prime, domain, step)
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,32 @@ class PeriodicSolution:
     h_max: float
     k: float
     warping: WarpingFunction
+
+
+def _linear_coeff(n: int, R: float, sub_dim: int) -> float:
+    """c1 of a warped sub-factor of dimension sub_dim in an n-manifold of scalar R."""
+    return R / ((n - 1.0) * (sub_dim + 1.0))
+
+
+def _conserved(p: int, c1: float, c0: float, h, hp):
+    """k = h'^2 + c1 h^2 + 2 c0/(p-1) h^(-(p-1)); scalars or arrays."""
+    k = hp**2 + c1 * h**2
+    if c0 != 0.0:
+        k = k + 2.0 * c0 / (p - 1.0) * h ** (-(p - 1.0))
+    return k
+
+
+def _well(p: int, c1: float, c0: float) -> float:
+    """The potential minimum h*, where c1 h = c0 h^(-p) (needs c1, c0 > 0)."""
+    return (c0 / c1) ** (1.0 / (p + 1.0))
+
+
+def _steps(length: float, step: float) -> int:
+    """Number of RK4 steps of size about step across length; refuses too many."""
+    count = length / step
+    if not count <= _MAX_STEPS:
+        raise BadRange(f"step {step:g} needs {count:.4g} RK4 steps, more than {_MAX_STEPS}")
+    return max(1, math.ceil(count - 1e-12))
 
 
 def _accel(p: int, c1: float, c0: float, h):
@@ -211,8 +236,7 @@ class OdeBackedProfile(Profile):
 
     def __init__(self, params: WarpingODEParams):
         lo, hi = params.domain
-        step = params.effective_step
-        n_steps = max(1, math.ceil((hi - lo) / step - 1e-12))
+        n_steps = _steps(hi - lo, params.effective_step)
         dt = (hi - lo) / n_steps
         h0, hp0 = float(params.h0), float(params.h0_prime)
         if not _state_ok(params.forcing, h0, hp0):
@@ -287,15 +311,11 @@ def integrate_warping(params: WarpingODEParams) -> WarpingFunction:
 
 def first_integral(params: WarpingODEParams, h, h_prime) -> FirstIntegralValue:
     """Conserved combination k evaluated on a state (scalars or arrays)."""
-    h = np.asarray(h, dtype=float)
-    hp = np.asarray(h_prime, dtype=float)
-    p, c1, c0 = params.power, params.linear_coeff, params.forcing
-    value = hp**2 + c1 * h**2
-    if c0 != 0.0:
-        value = value + (2.0 * c0 / (p - 1.0)) * h ** (-(p - 1.0))
-    if value.ndim == 0:
-        return FirstIntegralValue(float(value))
-    return FirstIntegralValue(value)
+    value = _conserved(
+        params.power, params.linear_coeff, params.forcing,
+        np.asarray(h, dtype=float), np.asarray(h_prime, dtype=float),
+    )
+    return FirstIntegralValue(float(value) if value.ndim == 0 else value)
 
 
 def lapse_from_warping(h: WarpingFunction, c: float) -> LapseFunction:
@@ -321,44 +341,30 @@ def k0_threshold(n: int, R: float, a: float) -> float:
     return R / ((n - 1.0) * (n - 2.0)) * (n * (n - 1.0) * a / R) ** (2.0 / n)
 
 
-def _brentq(f, a, b, xtol=1e-14, rtol=1e-15, maxiter=100):
-    """Root of f in the bracket [a, b] by Brent's method (as scipy's brentq.c)."""
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
+def _bisect(f, a: float, b: float) -> float:
+    """Root of f in [a, b]: halves the bracket until its ends are adjacent floats."""
+    a, b = float(a), float(b)
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa < 0.0) == (fb < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre and fcur and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless an interpolated step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        bound = min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if 2 * abs(stry) < bound else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
+    while a < (m := 0.5 * (a + b)) < b:
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return b
 
 
-def _potential(p: int, c1: float, c0: float, h: float) -> float:
-    return 2.0 * c0 / (p - 1.0) * h ** (-(p - 1.0)) + c1 * h * h
+def _until_positive(f, x: float, factor: float) -> float:
+    """x scaled by factor until f is positive there."""
+    while f(x) <= 0.0:
+        x *= factor
+    return x
 
 
 def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> float:
@@ -377,24 +383,18 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
         raise BadRange(f"branch must be 'inner' or 'outer', got {branch!r}")
 
     def gap(h: float) -> float:
-        return _potential(p, c1, c0, h) - k
+        return _conserved(p, c1, c0, h, 0.0) - k
 
     if c1 > 0.0:
-        h_star = (c0 / c1) ** (1.0 / (p + 1.0))
+        h_star = _well(p, c1, c0)
         if gap(h_star) >= 0.0:
             raise BadRange(
                 f"no turning point: conserved value {k} does not clear the "
                 "potential minimum"
             )
         if branch == "outer":
-            hi = 2.0 * h_star
-            while gap(hi) <= 0.0:
-                hi *= 2.0
-            return _brentq(gap, h_star, hi)
-        lo = 0.5 * h_star
-        while gap(lo) <= 0.0:
-            lo *= 0.5
-        return _brentq(gap, lo, h_star)
+            return _bisect(gap, h_star, _until_positive(gap, 2.0 * h_star, 2.0))
+        return _bisect(gap, _until_positive(gap, 0.5 * h_star, 0.5), h_star)
     # Monotone potential: a single barrier root on the inner side.
     if branch == "outer":
         raise BadRange("no outer turning point when linear_coeff <= 0")
@@ -403,12 +403,8 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
             f"no turning point: conserved value must be positive when the "
             f"linear term vanishes, got {k}"
         )
-    lo = hi = 1.0
-    while gap(lo) <= 0.0:
-        lo *= 0.5
-    while gap(hi) >= 0.0:
-        hi *= 2.0
-    return _brentq(gap, lo, hi)
+    lo = _until_positive(gap, 1.0, 0.5)
+    return _bisect(gap, lo, _until_positive(lambda h: -gap(h), 1.0, 2.0))
 
 
 def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None:
@@ -418,14 +414,13 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
     k strictly above the potential minimum; the orbit starts at its
     maximum (a root of the potential, h' = 0), and the period ends at the
     return crossing, the first step where h' goes from positive to
-    non-positive, located by one Brent solve on the dense trajectory.
+    non-positive, located by one bisection on the dense trajectory.
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
     k = _finite("k", k)
     if c1 <= 0.0 or c0 <= 0.0:
         return None
-    h_star = (c0 / c1) ** (1.0 / (p + 1.0))
-    k_min = _potential(p, c1, c0, h_star)
+    k_min = _conserved(p, c1, c0, _well(p, c1, c0), 0.0)
     if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
         return None
 
@@ -436,6 +431,7 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
     t_lin = 2.0 * math.pi / math.sqrt((p + 1.0) * c1)
     dt = params.step if params.step is not None else t_lin / DEFAULT_STEPS
     s_budget = 64.0 * t_lin
+    _steps(s_budget, dt)  # refuses a step too small for the search window
 
     s = 0.0
     h, hp = h_max, 0.0
@@ -445,7 +441,7 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
             def hp_at(delta: float) -> float:
                 return _rk4_step(p, c1, c0, h, hp, delta)[1]
 
-            delta = dt if hp_next == 0.0 else _brentq(hp_at, 0.0, dt)
+            delta = _bisect(hp_at, 0.0, dt)
             period = s + delta
             h_close = _rk4_step(p, c1, c0, h, hp, delta)[0]
             if abs(h_close - h_max) > _CLOSURE_TOL * max(1.0, h_max):

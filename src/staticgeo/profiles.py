@@ -181,6 +181,8 @@ def _stencil(s_start: float, step: float, size: int, order: int, query: bytes):
     query holds the raw float64 bytes of the q ravelled query points.  The
     weights stay a strided view of fd_weights' array: a contiguous copy
     can change how the contraction in SampledProfile.derivative rounds.
+    Layout is not the only cause: that contraction is a stacked matmul, and
+    the OpenBLAS kernel the CPU selects changes its last digits as well.
     """
     flat = np.frombuffer(query)
     width = _STENCIL[order]

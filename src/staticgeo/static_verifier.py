@@ -42,6 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import curvature_engine as ce
+from . import ode_solver as ode
 from .errors import WrongBlockCount
 from .jets import _rows, derivatives_from_jet, jder, jet_of
 from .warped_geometry import LapseFunction, WarpedProductSpec
@@ -513,15 +514,13 @@ def classify(
     const_dim = sum(dims[j] for j in const_cl)
     if const_dim == 1 and abs(R) > tol.structure * scale:
         return made("Invalid", "line-type constant factor needs R = 0")
-    c1 = R / ((spec.n - 1.0) * (r1 + 1.0))
+    c1 = ode._linear_coeff(spec.n, R, r1)
     h, hp, hpp = d.h[:3, warp_cl[0]]
     c0_profile = (hpp + c1 * h) * h**r1
     c0 = float(np.median(c0_profile))
     if float(np.max(np.abs(c0_profile - c0))) > tol.structure * max(1.0, abs(c0)):
         return made("Invalid", "warped factor does not follow the product-family equation")
-    k_profile = hp**2 + c1 * h**2
-    if c0 != 0.0:
-        k_profile = k_profile + 2.0 * c0 / (r1 - 1.0) * h ** (-(r1 - 1.0))
+    k_profile = ode._conserved(r1, c1, c0, h, hp)
     k_med = float(np.median(k_profile))
     if float(np.max(np.abs(k_profile - k_med))) > tol.structure * max(1.0, abs(k_med)):
         return made("Invalid", "conserved quantity of the warped factor drifts")

@@ -49,8 +49,8 @@ from staticgeo.ode_solver import (
     _STATE_CEIL,
     DEFAULT_STEPS,
     WarpingODEParams,
-    _brentq,
-    _potential,
+    _bisect,
+    _conserved,
     _rk4_step,
     turning_point,
 )
@@ -415,7 +415,7 @@ def loop_orbit_search(params: WarpingODEParams, k: float, closure_tol: float = 1
     if c1 <= 0.0 or c0 <= 0.0:
         return None
     h_star = (c0 / c1) ** (1.0 / (p + 1.0))
-    k_min = _potential(p, c1, c0, h_star)
+    k_min = _conserved(p, c1, c0, h_star, 0.0)
     if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
         return None
     h_max = turning_point(params, k, "outer")
@@ -434,7 +434,7 @@ def loop_orbit_search(params: WarpingODEParams, k: float, closure_tol: float = 1
             def hp_at(delta: float) -> float:
                 return _rk4_step(p, c1, c0, h0, hp0, delta)[1]
 
-            delta = dt if hp_next == 0.0 else _brentq(hp_at, 0.0, dt)
+            delta = dt if hp_next == 0.0 else _bisect(hp_at, 0.0, dt)
             crossings += 1
             if crossings == 2:
                 period = s + delta

@@ -12,6 +12,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -440,6 +441,33 @@ class TestSolveOde:
         )
         assert code == 2
         assert "bad input" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--step", "1e-300"], ["--periodic", "--k", "2", "--step", "1e-9"]],
+        ids=["integrate", "periodic"],
+    )
+    def test_too_many_steps_is_bad_input(self, capsys, flags):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["solve-ode", "--power", "4", "--linear-coeff", "1.0", "--forcing", "1.0"] + flags,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input: step") and "more than 1048576" in err
+
+    def test_document_step_with_too_many_steps_is_bad_input(self, tmp_path, capsys):
+        doc = build_entry("type_iv").to_problem_dict()
+        warping = doc["blocks"][0]["warping"]
+        assert warping["kind"] == "ode-backed"
+        warping["params"] = warping["params"][:5] + [1e-300]
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", write_json(tmp_path, doc)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input: step 1e-300") and "more than 1048576" in err
 
 
 # ---------------------------------------------------------------------------

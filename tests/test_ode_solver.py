@@ -20,6 +20,7 @@ Independent accuracy oracles used below:
 import dataclasses
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ from staticgeo.ode_solver import (
     first_integral,
     integrate_warping,
     k0_threshold,
-    _brentq,
-    _potential,
+    _bisect,
+    _conserved,
     _rk4_step,
     _state_ok,
     lapse_from_warping,
@@ -107,6 +108,15 @@ class TestParams:
         p = WarpingODEParams.warped_factor(6, 5.0, 3, 1.0, 1.0, 0.0, (0.0, 1.0))
         assert p.power == 3
         assert p.linear_coeff == 5.0 / (5.0 * 4.0)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_single_fiber_is_the_full_warped_factor(self, n):
+        rng = np.random.default_rng(n)
+        for R in rng.uniform(-50.0, 50.0, size=20):
+            args = (1.5, 1.2, -0.3, (0.0, 2.0), 0.01)
+            assert WarpingODEParams.single_fiber(n, R, *args) == (
+                WarpingODEParams.warped_factor(n, R, n - 1, *args)
+            )
 
     def test_integral_float_power_is_coerced(self):
         p = WarpingODEParams(4.0, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
@@ -438,6 +448,32 @@ class TestTurningPoint:
 
 
 # ---------------------------------------------------------------------------
+# Step-count bound
+
+
+class TestStepBound:
+    """An explicit step is refused before integration when it needs over 2^20 steps."""
+
+    def test_integration_refuses_at_once(self):
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 1e-300)
+        start = time.perf_counter()
+        with pytest.raises(BadRange, match=r"step 1e-300 needs 1e\+300 RK4 steps"):
+            integrate_warping(params)
+        assert time.perf_counter() - start < 5.0
+
+    def test_orbit_search_refuses_at_once(self):
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 1e-9)
+        start = time.perf_counter()
+        with pytest.raises(BadRange, match="step 1e-09 needs .* more than 1048576"):
+            find_periodic(params, 2.0)
+        assert time.perf_counter() - start < 5.0
+
+    def test_two_to_the_sixteen_steps_integrate(self):
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 2.0**-16)
+        assert OdeBackedProfile(params).h_nodes.size == 2**16 + 1
+
+
+# ---------------------------------------------------------------------------
 # Root finder
 
 
@@ -447,10 +483,10 @@ def potential_brackets(rng, count):
         p = int(rng.integers(2, 9))
         c1, c0 = rng.uniform(0.05, 10.0, size=2)
         h_star = (c0 / c1) ** (1.0 / (p + 1.0))
-        k = _potential(p, c1, c0, h_star) * (1.0 + rng.uniform(1e-6, 3.0))
+        k = _conserved(p, c1, c0, h_star, 0.0) * (1.0 + rng.uniform(1e-6, 3.0))
 
         def gap(h, p=p, c1=c1, c0=c0, k=k):
-            return _potential(p, c1, c0, h) - k
+            return _conserved(p, c1, c0, h, 0.0) - k
 
         hi = 2.0 * h_star
         while gap(hi) <= 0.0:
@@ -481,29 +517,41 @@ def crossing_brackets(rng, count):
 
 
 class TestBrentq:
-    """The in-package port against scipy.optimize.brentq as the oracle."""
+    """The bisection root finder, with scipy.optimize.brentq as the oracle."""
 
     @pytest.mark.parametrize(
         "brackets", [potential_brackets, crossing_brackets], ids=["gap", "crossing"]
     )
-    def test_roots_equal_scipy(self, brackets):
+    def test_roots_within_scipy_tolerance(self, brackets):
         rng = np.random.default_rng(20240601)
         for f, a, b in brackets(rng, 300):
-            root = _brentq(f, a, b)
+            root = _bisect(f, a, b)
             assert type(root) is float
-            assert root == brentq(f, a, b, xtol=1e-14, rtol=1e-15)
+            # An exact zero, or a sign change between the root and an adjacent float.
+            f_root = f(root)
+            neighbours = (f(np.nextafter(root, a)), f(np.nextafter(root, b)))
+            assert f_root == 0.0 or any((v < 0.0) != (f_root < 0.0) for v in neighbours)
+            # Within scipy's own stop tolerance of scipy's root.
+            scipy_root = brentq(f, a, b, xtol=1e-14, rtol=1e-15)
+            assert abs(root - scipy_root) <= 1e-14 + 1e-15 * abs(root)
+
+    @pytest.mark.parametrize(
+        "brackets", [potential_brackets, crossing_brackets], ids=["gap", "crossing"]
+    )
+    def test_evaluations_are_bounded(self, brackets):
+        rng = np.random.default_rng(20240601)
+        for f, a, b in brackets(rng, 300):
+            calls = []
+            _bisect(lambda x: calls.append(x) or f(x), a, b)
+            assert len(calls) <= 80
 
     def test_endpoint_root_is_returned_exactly(self):
-        assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-        assert _brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+        assert _bisect(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert _bisect(lambda x: x - 3.0, 1.0, 3.0) == 3.0
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_iteration_limit_raises(self):
-        with pytest.raises(RuntimeError, match="convergence"):
-            _brentq(lambda x: x**3 - 2.0, 0.0, 10.0, maxiter=1)
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +600,7 @@ class TestFindPeriodic:
 
     @pytest.mark.parametrize("name", ["standing", "example4", "type_iv"])
     def test_one_crossing_solve_per_orbit(self, monkeypatch, fiber_params, name):
-        # The two turning points take one Brent solve each, and the return
+        # The two turning points take one bisection each, and the return
         # to h_max one more; the pass through h_min needs none.
         if name == "standing":
             proto, k = fiber_params, K_ORBIT
@@ -563,9 +611,9 @@ class TestFindPeriodic:
 
         def counted(f, a, b, **kwargs):
             solves.append(f.__qualname__.split(".")[0])
-            return _brentq(f, a, b, **kwargs)
+            return _bisect(f, a, b, **kwargs)
 
-        monkeypatch.setattr(ode_solver, "_brentq", counted)
+        monkeypatch.setattr(ode_solver, "_bisect", counted)
         assert find_periodic(proto, k) is not None
         assert sorted(solves) == ["find_periodic", "turning_point", "turning_point"]
 
@@ -604,7 +652,7 @@ def family_params(rng: random.Random, name: str) -> dict:
     if R < 0.0:
         return {"n": n, "r": r, "R": R, "c0": c0, "k": u(-2.0, 2.0)}
     c1 = WarpingODEParams.warped_factor(n, R, r - 1, c0, 1.0, 0.0, (0.0, 1.0)).linear_coeff
-    k_min = _potential(r - 1, c1, c0, (c0 / c1) ** (1.0 / r))
+    k_min = _conserved(r - 1, c1, c0, (c0 / c1) ** (1.0 / r), 0.0)
     return {"n": n, "r": r, "R": R, "c0": c0, "k": k_min * u(1.1, 2.0)}
 
 

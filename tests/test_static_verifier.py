@@ -19,12 +19,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from staticgeo import cli, jets, profiles
+from staticgeo import cli, jets, ode_solver, profiles
 from staticgeo import curvature_engine as ce
 from staticgeo import static_verifier as sv
 from staticgeo.catalog import CATALOG_NAMES, build_entry
 from staticgeo.errors import DerivativeOrderUnavailable, WrongBlockCount
-from staticgeo.ode_solver import WarpingODEParams, integrate_warping, lapse_from_warping
+from staticgeo.ode_solver import (
+    WarpingODEParams,
+    first_integral,
+    integrate_warping,
+    lapse_from_warping,
+)
 from staticgeo.profiles import PolynomialProfile, SumProfile, TrigProfile, fd_weights
 from staticgeo.static_verifier import (
     ANALYTIC,
@@ -362,6 +367,27 @@ class TestClassifyDetails:
         assert np.array_equal(public, direct)
         assert np.array_equal(np.signbit(public), np.signbit(direct))
         assert classify(e.spec, e.lapse).d_sup == float(np.max(np.abs(public)))
+
+    def test_conservation_profile_is_the_first_integral(self, monkeypatch, entry_by_name):
+        # classify's product-family check reads k through ode_solver's formula,
+        # so on type_iv's rows it equals first_integral bit for bit.
+        e = entry_by_name["type_iv"]
+        calls = []
+
+        def recorded(p, c1, c0, h, hp, conserved=ode_solver._conserved):
+            calls.append((p, c1, c0, h, hp, conserved(p, c1, c0, h, hp)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(ode_solver, "_conserved", recorded)
+        assert classify(e.spec, e.lapse).label == "TypeIV"
+        monkeypatch.undo()
+        [(p, c1, c0, h, hp, k_profile)] = calls
+        warping = e.spec.blocks[0].warping
+        s = e.spec.evaluation_grid()
+        assert np.array_equal(h, warping.value(s))
+        assert np.array_equal(hp, warping.derivative(s, 1))
+        params = WarpingODEParams(p, c1, c0, 1.0, 0.0, (0.0, 1.0))
+        assert first_integral(params, h, hp).value.tobytes() == k_profile.tobytes()
 
     def test_to_dict_round_trip(self, entry_by_name):
         e = entry_by_name["type_iv"]
