@@ -18,7 +18,10 @@ not grow with the file; the bytes are those of formatting every value with
 verify, classify and report load through one step that runs validate_spec:
 a warping not positive on the grid prints verify's {"valid": false, ...}
 (a non-finite violation value as null) and exits 1, and report writes no
-file.  A non-finite --tol or solve-ode number is bad input.  Exit codes:
+file.  A non-finite --tol or solve-ode number is bad input, and so is a
+malformed document shape (blocks not a list, a block, warping or lapse
+not an object, a domain not two numbers) or a grid above 2^18 points,
+from the document or STATICGEO_GRID.  Exit codes:
 0 success, 1 residual or classification failure, 2 parse or schema error,
 3 I/O error.  Output is deterministic: sorted JSON keys and fixed float
 formatting, no timestamps.

@@ -126,12 +126,6 @@ def _warping_rows(spec: WarpedProductSpec, s: np.ndarray, order: int) -> np.ndar
     return np.stack(rows, axis=1)
 
 
-def _dims(spec: WarpedProductSpec, tail_ndim: int) -> np.ndarray:
-    return np.array([b.dim for b in spec.blocks], dtype=float).reshape(
-        (len(spec.blocks),) + (1,) * tail_ndim
-    )
-
-
 class _Frame:
     """Jet tower shared by the public operations.
 
@@ -143,13 +137,15 @@ class _Frame:
 
     def __init__(self, spec: WarpedProductSpec, s, lam_order: int):
         s = _check_domain(spec, s)
+        self.spec = spec
         self.s = s
         self.n = spec.n
         self.B = len(spec.blocks)
         horder = lam_order + 2
         self.h = h = jet_from_derivatives(_warping_rows(spec, s, horder))
-        dims = _dims(spec, s.ndim)
-        ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(dims.shape)
+        tail = (self.B,) + (1,) * s.ndim
+        dims = np.array([b.dim for b in spec.blocks], dtype=float).reshape(tail)
+        ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(tail)
 
         hp = jder(h)                                   # order: horder-1
         self.xi = jdiv(hp, h[:horder])                 # order: horder-1
@@ -170,7 +166,7 @@ class _Frame:
         # R_{1a1a} and friends
         self.m_class = -(xi_p[:lo] + xi_sq[:lo])
         p = jmul(ks * jconst(1.0, horder - 1, like=h) - jmul(hp, hp), h2inv)[:lo]
-        p[:, np.array([b.dim for b in spec.blocks]) == 1] = np.nan
+        p[:, dims.ravel() == 1] = np.nan
         self.p_class = p
         q = -jmul(self.xi[:, :, None], self.xi[:, None, :])[:lo]
         q[:, np.arange(self.B), np.arange(self.B)] = np.nan
@@ -182,6 +178,7 @@ class _Frame:
         self.dims = dims
 
     def weyl_jets(self):
+        _check_fiber_data(self.spec)
         nm2 = self.n - 2
         w_base = self.m_class - (self.A1[:, None] + self.Ablk) / nm2
         w_intra = self.p_class - 2.0 * self.Ablk / nm2
@@ -306,7 +303,6 @@ def schouten_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
 
 def weyl_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     """Conformal curvature classes (same index patterns as the Riemann part)."""
-    _check_fiber_data(spec)
     return RiemannClasses(*(w[0] for w in _Frame(spec, s, 0).weyl_jets()))
 
 
@@ -332,7 +328,6 @@ def bach_spectrum(spec: WarpedProductSpec, s) -> DiagonalTwoTensor:
     adapted frame, where only w_{1a} = xi_a w_a contributes for
     block-constant component functions.
     """
-    _check_fiber_data(spec)
     return _Frame(spec, s, 2).bach()
 
 
@@ -345,7 +340,6 @@ def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
     """
     if spec.n < 4:
         raise BadRange(f"Weyl-divergence route needs n >= 4, got n={spec.n}")
-    _check_fiber_data(spec)
     fr = _Frame(spec, s, 1)
     w = fr.weyl_jets()
     W = materialize_full(RiemannClasses(*(j[0] for j in w)), spec)

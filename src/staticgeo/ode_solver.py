@@ -89,8 +89,8 @@ class WarpingODEParams:
         for name in ("linear_coeff", "forcing", "h0", "h0_prime", "step"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if self.step is not None and not self.step > 0:
-            raise BadRange(f"step must be positive, got {self.step}")
+        if not self.effective_step > 0:
+            raise BadRange(f"step must be positive, got {self.effective_step}")
         if self.forcing != 0.0 and not self.h0 > 0.0:
             raise NonPositiveInput(
                 f"h0 must be positive when the singular term is active, got {self.h0}"
@@ -242,15 +242,15 @@ class OdeBackedProfile(Profile):
         if not _state_ok(params.forcing, h0, hp0):
             raise BlowUp("initial state already inadmissible", lo)
         states = _rk4_states(params.power, params.linear_coeff, params.forcing, h0, hp0, dt)
-        nodes = [(h0, hp0), *itertools.islice(states, n_steps)]
-        if len(nodes) <= n_steps:
-            i = len(nodes) - 1
+        flat = itertools.chain.from_iterable(itertools.islice(states, n_steps))
+        nodes = np.fromiter(itertools.chain((h0, hp0), flat), float)
+        if nodes.size <= 2 * n_steps:
+            i = nodes.size // 2 - 1
             raise BlowUp(
                 f"trajectory left the admissible region near s = {lo + (i + 1) * dt:g}",
                 lo + i * dt,
             )
-        flat = itertools.chain.from_iterable(nodes)
-        h, hp = np.fromiter(flat, float, 2 * len(nodes)).reshape(-1, 2).T.copy()
+        h, hp = nodes.reshape(-1, 2).T.copy()
         self.params = params
         self.s_lo, self.s_hi = lo, hi
         self.dt = dt

@@ -84,10 +84,13 @@ class PolynomialProfile(Profile):
     def derivative(self, s, order: int):
         self._check_order(order)
         s = np.asarray(s, dtype=float)
-        c = np.asarray(self.coeffs, dtype=float)
+        c = list(map(float, self.coeffs))
         for _ in range(order):
-            c = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-        return np.polynomial.polynomial.polyval(s, c)
+            c = [j * c[j] for j in range(1, len(c))] or [0.0]
+        value = c[-1] + s * 0.0
+        for cj in reversed(c[:-1]):
+            value = cj + value * s
+        return value
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,9 @@ DEFAULT_GRID_POINTS = 1024
 # trimmed from each side so derivative stencils and near-boundary zeros of
 # analytic warpings stay out of the evaluation window.
 GRID_MARGIN_STEPS = 2
+# Most grid points a spec may ask for (256 default grids), refused before
+# any grid-sized array is allocated.
+_MAX_GRID_POINTS = 2**18
 
 _WARPING, _LAPSE, _BOTH = ("warping",), ("lapse",), ("warping", "lapse")
 
@@ -235,7 +238,9 @@ def _finite(name: str, value) -> float:
 
 
 def _interval(domain) -> tuple[float, float]:
-    """domain as a pair of floats; non-finite or empty intervals are refused."""
+    """domain as a pair of floats; anything but two finite, increasing numbers is refused."""
+    if len(domain) != 2:
+        raise BadRange(f"domain must be two numbers, got {len(domain)}")
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadRange(f"domain ends must be finite, got {(lo, hi)}")
@@ -292,6 +297,8 @@ class WarpedProductSpec:
         object.__setattr__(self, "grid_points", _whole(self.grid_points, "grid"))
         if self.grid_points < 9:
             raise BadRange(f"grid needs at least 9 points, got {self.grid_points}")
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise BadRange(f"grid takes at most {_MAX_GRID_POINTS} points, got {self.grid_points}")
 
     @property
     def n(self) -> int:
@@ -364,6 +371,14 @@ def validate_spec(spec: WarpedProductSpec) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _json(value, shape: type, where: str):
+    """value, once it has the JSON shape (dict: object, list: list) that `where` needs."""
+    if not isinstance(value, shape):
+        name = "an object" if shape is dict else "a list"
+        raise BadRange(f"{where} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def _warping_from_dict(d: dict, domain: tuple[float, float]) -> WarpingFunction:
     kind, params = d.get("kind"), d.get("params", [])
     if kind == "sampled":
@@ -398,8 +413,9 @@ def spec_from_dict(d: dict, default_grid: int = DEFAULT_GRID_POINTS) -> WarpedPr
     domain = _interval(d["domain"])
     grid = d.get("grid", default_grid)
     blocks = []
-    for bd in d["blocks"]:
-        warping = _warping_from_dict(bd["warping"], domain)
+    for j, bd in enumerate(_json(d["blocks"], list, "blocks")):
+        bd = _json(bd, dict, f"block {j}")
+        warping = _warping_from_dict(_json(bd["warping"], dict, f"block {j} warping"), domain)
         blocks.append(
             FiberBlock(
                 dim=bd["dim"],
@@ -422,7 +438,7 @@ def load_problem(
 ) -> tuple[WarpedProductSpec, LapseFunction]:
     """Spec plus lapse from one JSON document."""
     spec = spec_from_dict(d, default_grid)
-    lapse = _lapse_from_dict(d["lapse"], spec.blocks)
+    lapse = _lapse_from_dict(_json(d["lapse"], dict, "lapse"), spec.blocks)
     return spec, lapse
 
 

@@ -4,11 +4,13 @@ Every invocation goes through main(argv) in process, so exit codes and
 emitted documents are asserted directly; files land in tmp_path.
 """
 
+import copy
 import filecmp
 import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import textwrap
@@ -740,6 +742,121 @@ class TestGridEnvironment:
         code, _, err = run(capsys, ["verify", path])
         assert code == 2
         assert "too small" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["catalog", "build", "flat"]], ids=["verify", "catalog-build"]
+    )
+    def test_rejects_grids_above_the_bound_at_once(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("STATICGEO_GRID", str(10**13))
+        doc = flat_doc()
+        del doc["grid"]
+        if argv == ["verify"]:
+            argv = argv + [write_json(tmp_path, doc)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err.startswith("bad input:") and "at most 262144 points" in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: bad input (exit 2), never a traceback
+
+
+# Document shapes that are bad input: where the document comes from, and how it is broken.
+MALFORMED_PLACES = {
+    "warping string": (flat_doc, lambda d: d["blocks"][0].__setitem__("warping", "x")),
+    "lapse string": (flat_doc, lambda d: d.__setitem__("lapse", "x")),
+    "blocks object": (flat_doc, lambda d: d.__setitem__("blocks", {"a": 1})),
+    "one-element domain": (flat_doc, lambda d: d.__setitem__("domain", [1.0])),
+    "grid 10^13": (flat_doc, lambda d: d.__setitem__("grid", 10**13)),
+    # The default ODE step, domain length / 4096, rounds to zero.
+    "underflowing ode step": (
+        lambda: build_entry("type_iv").to_problem_dict(),
+        lambda d: d.__setitem__("domain", [0.0, 1e-320]),
+    ),
+}
+
+
+FUZZ_ENTRIES = ["round_sphere", "flat", "example1", "example3", "type_ii", "type_iv"]
+FUZZ_VALUES = [
+    None, True, "x", [], [1.0], {}, {"a": 1}, 1e308, -1e308, 1e-320, 10**13, 3 * 10**7, 0, -1,
+]
+
+
+def fields(node, path=()):
+    """Paths of every field below node; a list's items count if it holds at most 8."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and len(node) <= 8:
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from fields(child, path + (key,))
+
+
+def mutated(rng, doc):
+    """doc with one or two fields replaced by a FUZZ_VALUES entry, or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        paths = list(fields(doc))
+        if not paths:
+            break
+        *parent, key = rng.choice(paths)
+        holder = doc
+        for step in parent:
+            holder = holder[step]
+        if rng.random() < 0.2:
+            del holder[key]
+        else:
+            holder[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("place", list(MALFORMED_PLACES))
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    def test_refused_as_bad_input(self, tmp_path, capsys, command, place):
+        make, mangle = MALFORMED_PLACES[place]
+        doc = make()
+        mangle(doc)
+        target = tmp_path / "out.csv"
+        argv = [command, write_json(tmp_path, doc)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ([str(target)] if command == "report" else []))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("bad input:")
+
+    # Huge numbers overflow in the residuals; their answers are still printed.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_seeded_mutations_never_escape_main(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("STATICGEO_GRID", raising=False)
+        bases = {name: build_entry(name).to_problem_dict() | {"grid": 64} for name in FUZZ_ENTRIES}
+        rng = random.Random(11)
+        for i in range(300):
+            doc = mutated(rng, bases[rng.choice(FUZZ_ENTRIES)])
+            command = rng.choice(["verify", "classify", "report"])
+            argv = [command, write_json(tmp_path, doc)]
+            if command == "report":
+                argv.append(str(tmp_path / "out.csv"))
+            where = f"mutation {i}: {command} {json.dumps(doc)[:300]}"
+            start = time.perf_counter()
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{where}\n{exc!r} escaped main")
+            took = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            assert took < 5.0, where
+            assert code in (0, 1, 2), where
+            if code == 2:
+                assert err.startswith("bad input:"), where
+            elif command != "report" or code == 1:
+                json.loads(out)
 
 
 # ---------------------------------------------------------------------------

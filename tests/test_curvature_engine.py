@@ -488,6 +488,20 @@ class TestEngineErrors:
         with pytest.raises(InsufficientFiberData):
             identity_db(spec, reference_lapse())
 
+    def test_weyl_level_jets_refuse_abstract_fibers(self):
+        # The frame itself is Ricci-level; only its Weyl jets, and the Bach
+        # values built on them, need the full fiber curvature.
+        spec = self.abstract_spec(3)
+        s = np.array([0.5])
+        frame = ce._Frame(spec, s, 2)
+        frame.cotton_jets()
+        with pytest.raises(InsufficientFiberData):
+            frame.weyl_jets()
+        with pytest.raises(InsufficientFiberData):
+            frame.bach()
+        with pytest.raises(InsufficientFiberData):
+            ce.bach_spectrum(spec, s)
+
     def test_dimension_two_einstein_fiber_is_exempt(self):
         spec = self.abstract_spec(2)
         ce.weyl_classes(spec, np.array([0.5]))

@@ -21,6 +21,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,11 @@ class TestParams:
     def test_bad_step(self, step):
         with pytest.raises(BadRange, match="step"):
             WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), step)
+
+    def test_default_step_that_underflows_is_refused(self):
+        # (1e-320 - 0) / DEFAULT_STEPS rounds to zero.
+        with pytest.raises(BadRange, match="step must be positive, got 0"):
+            WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1e-320))
 
     @pytest.mark.parametrize("h0", [0.0, -1.0])
     def test_singular_term_needs_positive_start(self, h0):
@@ -471,6 +477,17 @@ class TestStepBound:
     def test_two_to_the_sixteen_steps_integrate(self):
         params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 2.0**-16)
         assert OdeBackedProfile(params).h_nodes.size == 2**16 + 1
+
+    def test_nodes_stream_into_their_arrays(self):
+        # Streaming needs 2x the node arrays: the flat node array, then its split copy.
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 2.0**-16)
+        tracemalloc.start()
+        try:
+            profile = integrate_warping(params).profile
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (profile.h_nodes.nbytes + profile.hp_nodes.nbytes)
 
 
 # ---------------------------------------------------------------------------

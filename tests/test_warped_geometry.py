@@ -105,6 +105,27 @@ class TestAnalyticProfiles:
         with pytest.raises(DerivativeOrderUnavailable):
             p.derivative(0.3, 9)
 
+    def test_polynomial_equals_numpy_polynomial_bit_for_bit(self):
+        # numpy.polynomial is the reference here; the profile does not import it.
+        poly = np.polynomial.polynomial
+        rng = np.random.default_rng(21)
+        for case in range(2000):
+            size = int(rng.integers(1, 9))
+            coeffs = tuple(rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size))
+            order = int(rng.integers(0, 9))
+            if case % 2:
+                s = np.asarray(rng.uniform(-3.0, 3.0))
+            else:
+                s = rng.uniform(-3.0, 3.0, int(rng.integers(1, 6)))
+            c = np.asarray(coeffs)
+            for _ in range(order):
+                c = poly.polyder(c) if c.size > 1 else np.zeros(1)
+            expected = poly.polyval(s, c)
+            got = PolynomialProfile(coeffs).derivative(s, order)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_profiles_are_immutable(self):
         p = PolynomialProfile((1.0, 2.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -525,6 +546,21 @@ class TestConstruction:
         with pytest.raises(BadRange):
             WarpedProductSpec(block, domain=(0.0, 1.0), grid_points=8)
 
+    @pytest.mark.parametrize("domain", [(0.0,), (0.0, 1.0, 2.0), ()])
+    def test_domain_takes_exactly_two_numbers(self, domain):
+        block = (FiberBlock(2, make_analytic_warping("constant", (1.0,)),
+                            "space_form", 1.0),)
+        with pytest.raises(BadRange, match="domain must be two numbers"):
+            WarpedProductSpec(block, domain=domain)
+
+    def test_grid_is_bounded_before_anything_is_allocated(self):
+        block = (FiberBlock(2, make_analytic_warping("constant", (1.0,)),
+                            "space_form", 1.0),)
+        assert WarpedProductSpec(block, (0.0, 1.0), 2**18).grid_points == 2**18
+        for grid in (2**18 + 1, 3 * 10**7, 10**13, 1e308):
+            with pytest.raises(BadRange, match="at most 262144 points"):
+                WarpedProductSpec(block, (0.0, 1.0), grid)
+
     def test_evaluation_grid_trims_two_steps(self):
         block = (FiberBlock(2, make_analytic_warping("constant", (1.0,)),
                             "space_form", 1.0),)
@@ -772,6 +808,24 @@ def good_doc():
     }
 
 
+# Each document shape the wire format refuses, and the words that name its field.
+MALFORMED_SHAPES = {
+    "blocks object": (lambda d: d.__setitem__("blocks", {"a": 1}), "blocks must be a list"),
+    "block string": (lambda d: d["blocks"].__setitem__(0, "x"), "block 0 must be an object"),
+    "warping string": (
+        lambda d: d["blocks"][0].__setitem__("warping", "x"), "block 0 warping must be an object"
+    ),
+    "warping list": (
+        lambda d: d["blocks"][0].__setitem__("warping", [1.0]),
+        "block 0 warping must be an object",
+    ),
+    "lapse null": (lambda d: d.__setitem__("lapse", None), "lapse must be an object"),
+    "one-element domain": (
+        lambda d: d.__setitem__("domain", [1.0]), "domain must be two numbers"
+    ),
+}
+
+
 class TestWireFormat:
     def test_load_problem_roundtrip(self):
         spec, lapse = load_problem(good_doc())
@@ -906,6 +960,14 @@ class TestWireFormat:
         doc = good_doc()
         doc["lapse"] = {"kind": "derived", "params": [1.0, 3]}
         with pytest.raises(BadRange):
+            load_problem(doc)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_SHAPES))
+    def test_malformed_shapes_name_their_field(self, case):
+        mangle, field = MALFORMED_SHAPES[case]
+        doc = good_doc()
+        mangle(doc)
+        with pytest.raises(BadRange, match=field):
             load_problem(doc)
 
     def test_missing_lapse_key(self):
