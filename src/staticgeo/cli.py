@@ -8,20 +8,21 @@ Subcommands:
   catalog list|build      reference entries, verified on build
   report SPEC.json OUT    per-grid-point CSV or JSON profile
 
-report writes `grid` rows evenly spaced over the margin-shrunk interval;
-verify reads the spec's own grid minus its margins, so its argmax_index
-indexes `grid - 4` points with a different spacing.  report formats its
-rows in fixed blocks and writes each block as it goes, so its memory does
-not grow with the file; the bytes are those of formatting every value with
-%.17g (CSV) or of one json.dump of the whole document (JSON).
+report writes one row per point of the spec's evaluation grid, the points
+verify and classify read, so a channel's argmax_index is a report row.
+report formats its rows in fixed blocks and writes each block as it goes,
+so its memory does not grow with the file; the bytes are those of
+formatting every value with %.17g (CSV) or of one json.dump of the whole
+document (JSON), NaN and infinities included.  Everything else is printed
+by _emit, which writes a non-finite float as null.
 
 verify, classify and report load through one step that runs validate_spec:
 a warping not positive on the grid prints verify's {"valid": false, ...}
-(a non-finite violation value as null) and exits 1, and report writes no
-file.  A non-finite --tol or solve-ode number is bad input, and so is a
-malformed document shape (blocks not a list, a block, warping or lapse
-not an object, a domain not two numbers) or a grid above 2^18 points,
-from the document or STATICGEO_GRID.  Exit codes:
+and exits 1, and report writes no file.  A non-finite --tol or solve-ode
+number is bad input, and so is a string or boolean where a document wants
+a number, a malformed document shape (blocks not a list, a block, warping
+or lapse not an object, a domain not two numbers) or a grid above 2^18
+points, from the document or STATICGEO_GRID.  Exit codes:
 0 success, 1 residual or classification failure, 2 parse or schema error,
 3 I/O error.  Output is deterministic: sorted JSON keys and fixed float
 formatting, no timestamps.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -42,12 +44,12 @@ import numpy as np
 
 from . import static_verifier as sv
 from .catalog import CATALOG_NAMES, EXPECTED_LABELS, build_entry
-from .errors import BadRange, BlowUp, StaticGeoError
+from .errors import BlowUp, StaticGeoError
 from .jets import _rows
 from .ode_solver import WarpingODEParams, find_periodic, first_integral, integrate_warping
 from .warped_geometry import (
     DEFAULT_GRID_POINTS,
-    GRID_MARGIN_STEPS,
+    _finite,
     load_problem,
     validate_spec,
 )
@@ -76,8 +78,19 @@ class _InvalidSpec(Exception):
     """Raised by _load once it has printed validate_spec's refusal; main exits 1."""
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None, so that it prints as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
 def _emit(obj, fh=None) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True), file=fh)
+    print(json.dumps(_json_safe(obj), indent=2, sort_keys=True), file=fh)
 
 
 def _load(path: str):
@@ -86,15 +99,14 @@ def _load(path: str):
     spec, lapse = load_problem(doc, _default_grid())
     bad = validate_spec(spec)
     if not bad.ok:
-        rows = [(i, name, v if np.isfinite(v) else None) for i, name, v in bad.violations[:16]]
-        _emit({"valid": False, "violations": rows})
+        _emit({"valid": False, "violations": bad.violations[:16]})
         raise _InvalidSpec
     return spec, lapse
 
 
 def _cmd_verify(args) -> int:
-    if args.tol is not None and not np.isfinite(args.tol):
-        raise BadRange(f"--tol must be finite, got {args.tol}")
+    if args.tol is not None:
+        _finite("--tol", args.tol)
     spec, lapse = _load(args.spec)
     tol = args.tol if args.tol is not None else sv.tier_for(spec, lapse).residual
     report = sv.verify_pair(spec, lapse)
@@ -203,8 +215,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _report_columns(spec, lapse):
-    margin = GRID_MARGIN_STEPS * spec.step
-    s = np.linspace(spec.domain[0] + margin, spec.domain[1] - margin, spec.grid_points)
+    s = spec.evaluation_grid()
     d, fs, stat, d_tensor = sv._static_rows(spec, lapse, s)
 
     def per_block(prefix, rows):

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BadRange, InsufficientFiberData
 from .jets import _rows, derivatives_from_jet, jconst, jder, jdiv, jet_from_derivatives, jmul
 from .profiles import _within
-from .warped_geometry import GRID_MARGIN_STEPS, LapseFunction, WarpedProductSpec
+from .warped_geometry import LapseFunction, WarpedProductSpec
 
 __all__ = [
     "RicciSpectrum",
@@ -103,9 +103,8 @@ class MixedThreeTensor:
 
 
 def _check_domain(spec: WarpedProductSpec, s) -> np.ndarray:
-    margin = GRID_MARGIN_STEPS * spec.step
     return _within(
-        s, spec.domain[0] + margin, spec.domain[1] - margin, spec.step,
+        s, *spec.evaluation_domain, spec.step,
         "s outside margin-shrunk domain [{lo:g}, {hi:g}] of the spec",
     )
 

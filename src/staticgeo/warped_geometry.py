@@ -230,7 +230,9 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
 
 
 def _finite(name: str, value) -> float:
-    """value as a float; NaN and infinities are refused."""
+    """value as a float; a string, a boolean, NaN and infinities are refused."""
+    if isinstance(value, (str, bool)):
+        raise BadRange(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise BadRange(f"{name} must be finite, got {value}")
@@ -241,17 +243,16 @@ def _interval(domain) -> tuple[float, float]:
     """domain as a pair of floats; anything but two finite, increasing numbers is refused."""
     if len(domain) != 2:
         raise BadRange(f"domain must be two numbers, got {len(domain)}")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BadRange(f"domain ends must be finite, got {(lo, hi)}")
+    lo, hi = _finite("domain start", domain[0]), _finite("domain end", domain[1])
     if hi <= lo:
         raise BadRange(f"empty domain {(lo, hi)}")
     return lo, hi
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; a fractional value is refused, not truncated."""
-    if not float(value).is_integer():
+    """value as an int, read by _finite; a fractional value is refused, not truncated."""
+    value = _finite(what, value)
+    if not value.is_integer():
         raise BadRange(f"{what} must be an integer, got {value}")
     return int(value)
 
@@ -309,12 +310,15 @@ class WarpedProductSpec:
     def step(self) -> float:
         return (self.domain[1] - self.domain[0]) / (self.grid_points - 1)
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.domain[0], self.domain[1], self.grid_points)
+    @property
+    def evaluation_domain(self) -> tuple[float, float]:
+        """The domain shrunk by GRID_MARGIN_STEPS steps at each end."""
+        margin = GRID_MARGIN_STEPS * self.step
+        return self.domain[0] + margin, self.domain[1] - margin
 
     def evaluation_grid(self) -> np.ndarray:
-        """Full grid with GRID_MARGIN_STEPS points trimmed from each side."""
-        return self.grid()[GRID_MARGIN_STEPS:-GRID_MARGIN_STEPS]
+        """grid_points points evenly spaced over evaluation_domain, both ends included."""
+        return np.linspace(*self.evaluation_domain, self.grid_points)
 
     def block_offsets(self) -> tuple[int, ...]:
         """First frame index of each block (index 0 is the interval direction)."""
@@ -379,8 +383,21 @@ def _json(value, shape: type, where: str):
     return value
 
 
-def _warping_from_dict(d: dict, domain: tuple[float, float]) -> WarpingFunction:
+def _kind_params(d: dict, role: str):
+    """A document function's kind and params, refused if a parameter is a string or a boolean.
+
+    _checked's float() would read either as a number; the check is made here,
+    not there, because library callers reach _checked with thousands of samples.
+    """
     kind, params = d.get("kind"), d.get("params", [])
+    if any(issubclass(t, (str, bool)) for t in set(map(type, params))):
+        bad = next(i for i, p in enumerate(params) if isinstance(p, (str, bool)))
+        raise BadRange(f"{kind} {role} parameter {bad} must be a number, got {params[bad]!r}")
+    return kind, params
+
+
+def _warping_from_dict(d: dict, domain: tuple[float, float]) -> WarpingFunction:
+    kind, params = _kind_params(d, "warping")
     if kind == "sampled":
         params, _ = _checked("warping", kind, params)
         return make_sampled_warping(params[0], params[1], params[2:])
@@ -394,7 +411,7 @@ def _warping_from_dict(d: dict, domain: tuple[float, float]) -> WarpingFunction:
 
 
 def _lapse_from_dict(d: dict, blocks: tuple[FiberBlock, ...]) -> LapseFunction:
-    kind, params = d.get("kind"), d.get("params", [])
+    kind, params = _kind_params(d, "lapse")
     if kind != "derived":
         return make_lapse(kind, params)
     from .ode_solver import lapse_from_warping

@@ -312,6 +312,67 @@ class TestNonFiniteNumbers:
         assert err.startswith("bad input") and "finite" in err
 
 
+# A string or a boolean where a number belongs, in the round_sphere document,
+# and the words of the refusal that name the field.
+NON_NUMBER_PLACES = {
+    "grid": (lambda d: d.__setitem__("grid", "64"), "grid must be a number, got '64'"),
+    "dim": (lambda d: d["blocks"][0].__setitem__("dim", "4"),
+            "block dimension must be a number, got '4'"),
+    "k": (lambda d: d["blocks"][0].__setitem__("k", True),
+          "curvature constant k must be a number, got True"),
+    "domain start": (lambda d: d["domain"].__setitem__(0, "0.15"),
+                     "domain start must be a number, got '0.15'"),
+    "warping parameter": (lambda d: d["blocks"][0]["warping"]["params"].__setitem__(0, "1.0"),
+                          "sin-scaled warping parameter 0 must be a number, got '1.0'"),
+    "lapse parameter": (lambda d: d["lapse"]["params"].__setitem__(2, False),
+                        "sin-cos lapse parameter 2 must be a number, got False"),
+}
+
+
+class TestNonNumbers:
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    @pytest.mark.parametrize("place", list(NON_NUMBER_PLACES))
+    def test_refused_as_bad_input(self, tmp_path, capsys, command, place):
+        mangle, words = NON_NUMBER_PLACES[place]
+        doc = build_entry("round_sphere").to_problem_dict() | {"grid": 64}
+        mangle(doc)
+        target = tmp_path / "out.csv"
+        argv = [command, write_json(tmp_path, doc)]
+        code, out, err = run(capsys, argv + ([str(target)] if command == "report" else []))
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("bad input") and words in err
+
+
+def overflowing_doc():
+    """round_sphere at 64 points with a warping amplitude of 1e308: the residuals overflow."""
+    doc = build_entry("round_sphere").to_problem_dict() | {"grid": 64}
+    doc["blocks"][0]["warping"]["params"][0] = 1e308
+    return doc
+
+
+class TestNonFiniteAnswers:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_print_as_null(self, tmp_path, capsys, command):
+        code, out, _ = run(capsys, [command, write_json(tmp_path, overflowing_doc())])
+        assert code == 1
+        doc = strict_json(out)
+        if command == "verify":
+            assert doc["pass"] is False and doc["max_sup"] is None
+            assert all(c["sup"] is None for c in doc["channels"].values())
+        else:
+            assert doc["label"] == "Invalid" and doc["diagnostics"]["d_sup"] is None
+
+    def test_emit_prints_every_non_finite_float_as_null(self, capsys):
+        cli._emit({"a": [1.5, math.nan, (math.inf, {"b": -math.inf})], "c": 2, "d": True,
+                   "e": "NaN", "f": None, "g": -0.0})
+        assert strict_json(capsys.readouterr().out) == {
+            "a": [1.5, None, [None, {"b": None}]], "c": 2, "d": True, "e": "NaN", "f": None,
+            "g": -0.0,
+        }
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -592,6 +653,16 @@ FLAT_HEADER = "s,h_0,xi_0,lambda1,lambda_0,R,f,static_11,static_0,D_0"
 
 
 class TestReport:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_argmax_index_is_a_report_row(self, tmp_path, capsys, name):
+        doc = build_entry(name).to_problem_dict() | {"grid": 257}
+        code, out, _ = run(capsys, ["verify", write_json(tmp_path, doc)])
+        assert code == 0
+        s = dict(cli._report_columns(*load_problem(doc)))["s"]
+        assert s.shape == (257,)
+        for channel in json.loads(out)["channels"].values():
+            assert s[channel["argmax_index"]] == channel["argmax_s"]
+
     def test_csv_shape_and_header(self, tmp_path, capsys):
         path = write_json(tmp_path, flat_doc(grid=64))
         target = tmp_path / "profile.csv"
@@ -856,7 +927,7 @@ class TestMalformedDocuments:
             if code == 2:
                 assert err.startswith("bad input:"), where
             elif command != "report" or code == 1:
-                json.loads(out)
+                strict_json(out)
 
 
 # ---------------------------------------------------------------------------

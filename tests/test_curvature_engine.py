@@ -550,6 +550,18 @@ class TestEngineErrors:
             with pytest.raises(OutOfDomain, match=r"\[.*, .*\]"):
                 read(np.array([outside]))
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_check_domain_reads_the_evaluation_domain(self, entry_by_name, name):
+        spec = entry_by_name[name].spec
+        lo, hi = spec.evaluation_domain
+        ends = np.array([lo, hi])
+        np.testing.assert_array_equal(ce._check_domain(spec, ends), ends)
+        np.testing.assert_array_equal(ce._check_domain(spec, spec.evaluation_grid()),
+                                      spec.evaluation_grid())
+        for outside in (lo - spec.step, hi + spec.step):
+            with pytest.raises(OutOfDomain, match="margin-shrunk domain"):
+                ce._check_domain(spec, np.array([outside]))
+
     def test_derivative_tower_limit_surfaces(self):
         grid = np.linspace(-1.0, 3.0, 801)
         prof = SampledProfile(grid[0], grid[1] - grid[0], np.exp(0.1 * grid))

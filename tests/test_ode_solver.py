@@ -13,6 +13,8 @@ Independent accuracy oracles used below:
 * p = 3 with c1 > 0 is the isochronous case: every orbit has period
   2 pi / sqrt(4 c1) no matter which k it carries, so the linearized
   period formula is exact there;
+* p = 3 is also the Ermakov-Pinney equation, whose trajectories have a
+  closed form, so type_iv's warping at r = 4 is checked row by row;
 * the node loops step by step on NumPy scalars (`oracle_tools`) must give
   the same bits as the package's Python-float kernel.
 """
@@ -646,6 +648,59 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("k", [1.0, 5.0 / 3.0])
     def test_none_at_or_below_the_threshold(self, fiber_params, k):
         assert find_periodic(fiber_params, k) is None
+
+
+# ---------------------------------------------------------------------------
+# An exact trajectory: at p = 3 the warping equation is the Ermakov-Pinney
+# equation h'' + w^2 h = c0 h^(-3) (Pinney, Proc. AMS 1 (1950) 681).  From the
+# maximum (h_max, 0), h^2 = h_max^2 cos^2(w s) + c0/(w^2 h_max^2) sin^2(w s);
+# with w = 0, from the inner turning point (h0, 0), h^2 = h0^2 + (c0/h0^2) s^2.
+
+
+def pinney_case(seed: int) -> dict:
+    """type_iv arguments at r = 4 (p = 3); n = 5 leaves a line factor, so R = 0."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    R = 0.0 if n == 5 or rng.random() < 0.25 else rng.uniform(0.5, 8.0)
+    if R == 0.0:
+        return {"n": n, "r": 4, "R": R, "k": rng.uniform(0.5, 4.0)}
+    k_min = 2.0 * math.sqrt(R / (4.0 * (n - 1.0)))  # the well's value c1 h^2 + c0 h^-2, c0 = 1
+    # At most twice the well's value, as in family_params: on more eccentric
+    # orbits the RK4 step's own error is larger (at 6.5 times the well's
+    # value, h'' is off by 1.2e-9 of max h at 4096 steps per period).
+    return {"n": n, "r": 4, "R": R, "k": k_min * rng.uniform(1.05, 2.0)}
+
+
+def pinney_rows(args: dict, s: np.ndarray) -> list:
+    """h, h' and h'' of the closed form for the type_iv warping with these arguments."""
+    c0, k = 1.0, args["k"]
+    w2 = args["R"] / (4.0 * (args["n"] - 1.0))
+    if w2 == 0.0:
+        top = c0 / k  # h0^2: the barrier c0 h^-2 equals k there
+        u, du, ddu = top + k * s**2, 2.0 * k * s, np.full_like(s, 2.0 * k)
+    else:
+        top = (k + math.sqrt(k * k - 4.0 * w2 * c0)) / (2.0 * w2)  # h_max^2: w^2 h^2 + c0 h^-2 = k
+        low, w = c0 / (w2 * top), math.sqrt(w2)
+        u = top * np.cos(w * s) ** 2 + low * np.sin(w * s) ** 2
+        du = (low - top) * w * np.sin(2.0 * w * s)
+        ddu = 2.0 * (low - top) * w2 * np.cos(2.0 * w * s)
+    h = np.sqrt(u)
+    hp = du / (2.0 * h)
+    return [h, hp, (0.5 * ddu - hp**2) / h]
+
+
+class TestErmakovPinney:
+    @pytest.mark.parametrize("seed", range(13))
+    def test_type_iv_warping_matches_the_closed_form(self, seed):
+        args = pinney_case(seed)
+        entry = catalog.build_type_iv(**args)
+        s = entry.spec.evaluation_grid()
+        warping = entry.spec.blocks[0].warping
+        want = pinney_rows(args, s)
+        scale = float(np.max(want[0]))
+        for order in range(3):
+            err = np.max(np.abs(warping.derivative(s, order) - want[order])) / scale
+            assert err < 1e-9, (args, order, err)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from staticgeo.ode_solver import (
 )
 from staticgeo.warped_geometry import (
     DEFAULT_GRID_POINTS,
+    GRID_MARGIN_STEPS,
     LAPSE_KINDS,
     WARPING_KINDS,
     FiberBlock,
@@ -561,14 +562,43 @@ class TestConstruction:
             with pytest.raises(BadRange, match="at most 262144 points"):
                 WarpedProductSpec(block, (0.0, 1.0), grid)
 
-    def test_evaluation_grid_trims_two_steps(self):
+    def test_evaluation_grid_spans_the_domain_less_two_steps(self):
         block = (FiberBlock(2, make_analytic_warping("constant", (1.0,)),
                             "space_form", 1.0),)
         spec = WarpedProductSpec(block, domain=(0.0, 1.0), grid_points=101)
         g = spec.evaluation_grid()
-        assert g.size == 97
+        assert g.size == 101
         assert math.isclose(g[0], 0.02)
         assert math.isclose(g[-1], 0.98)
+
+    @pytest.mark.parametrize("grid", [9, 64, 257, 1024])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_evaluation_grid_ends_are_the_evaluation_domain(self, entry_by_name, name, grid):
+        spec = dataclasses.replace(entry_by_name[name].spec, grid_points=grid)
+        g = spec.evaluation_grid()
+        lo, hi = spec.evaluation_domain
+        assert g.shape == (grid,)
+        assert g[0] == lo and g[-1] == hi
+        assert np.all(np.diff(g) > 0.0)
+        margin = GRID_MARGIN_STEPS * spec.step
+        assert math.isclose(lo - spec.domain[0], margin) and math.isclose(spec.domain[1] - hi, margin)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda w: WarpedProductSpec((FiberBlock(3, w),), (0.0, 1.0), "64"), "grid"),
+            (lambda w: WarpedProductSpec((FiberBlock(3, w),), (0.0, 1.0), True), "grid"),
+            (lambda w: WarpedProductSpec((FiberBlock(3, w),), ("0.15", 1.0)), "domain start"),
+            (lambda w: WarpedProductSpec((FiberBlock(3, w),), (0.0, False)), "domain end"),
+            (lambda w: FiberBlock("4", w), "block dimension"),
+            (lambda w: FiberBlock(3, w, "space_form", True), "curvature constant k"),
+            (lambda w: FiberBlock(3, w, "space_form", "1.0"), "curvature constant k"),
+        ],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, build, field):
+        w = make_analytic_warping("constant", (1.0,))
+        with pytest.raises(BadRange, match=f"^{field} must be an? "):
+            build(w)
 
     def test_spec_is_immutable(self):
         block = (FiberBlock(2, make_analytic_warping("constant", (1.0,)),
@@ -808,7 +838,7 @@ def good_doc():
     }
 
 
-# Each document shape the wire format refuses, and the words that name its field.
+# Each document shape or type the wire format refuses, and the words that name its field.
 MALFORMED_SHAPES = {
     "blocks object": (lambda d: d.__setitem__("blocks", {"a": 1}), "blocks must be a list"),
     "block string": (lambda d: d["blocks"].__setitem__(0, "x"), "block 0 must be an object"),
@@ -822,6 +852,23 @@ MALFORMED_SHAPES = {
     "lapse null": (lambda d: d.__setitem__("lapse", None), "lapse must be an object"),
     "one-element domain": (
         lambda d: d.__setitem__("domain", [1.0]), "domain must be two numbers"
+    ),
+    "string n": (lambda d: d.update(n="4"), "n must be a number, got '4'"),
+    "string parameter": (
+        lambda d: d["blocks"][0]["warping"]["params"].__setitem__(1, "0.5"),
+        "cos-scaled warping parameter 1 must be a number, got '0.5'",
+    ),
+    "boolean parameter": (
+        lambda d: d["lapse"]["params"].__setitem__(0, True),
+        "linear lapse parameter 0 must be a number, got True",
+    ),
+    "boolean block index": (
+        lambda d: d["lapse"].update(kind="derived", params=[1.0, False]),
+        "derived lapse parameter 1 must be a number, got False",
+    ),
+    "string of samples": (
+        lambda d: d["blocks"][0]["warping"].update(kind="sampled", params="0.1"),
+        "sampled warping parameter 0 must be a number, got '0'",
     ),
 }
 
