@@ -14,7 +14,9 @@ report formats its rows in fixed blocks and writes each block as it goes,
 so its memory does not grow with the file; the bytes are those of
 formatting every value with %.17g (CSV) or of one json.dump of the whole
 document (JSON), NaN and infinities included.  Everything else is printed
-by _emit, which writes a non-finite float as null.
+by _emit, which writes a non-finite float as null; main runs the command
+with NumPy's overflow, invalid and divide warnings off, since that null and
+the exit code already report them.
 
 verify, classify and report load through one step that runs validate_spec:
 a warping not positive on the grid prints verify's {"valid": false, ...}
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
         print("catalog build needs an entry name", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _InvalidSpec:
         return 1
     except OSError as exc:

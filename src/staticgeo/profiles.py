@@ -6,13 +6,16 @@ in closed form; sampled profiles differentiate through finite-difference
 stencils (5-point for orders 1-2, 7-point for orders 3-4), gathered for
 all query points at once and weighted by one broadcast Fornberg
 recursion; integrated profiles get their higher derivatives from the
-differential equation that defines them (see ode_solver).
+differential equation that defines them (see ode_solver).  A sampled read
+sums each stencil's products left to right, without BLAS, so it gives the
+same bits on every CPU.
 
 A sampled profile's gather indices and weights depend only on its grid
 (start, step, sample count), the order and the query points, never on
 the sample values.  They are built once per such key and kept, read-only,
 in a least-recently-used memo of _STENCIL_MEMO entries, so the warpings
-and the lapse of one document share them across a request.
+and the lapse of one document share them across a request.  An entry for
+q points holds at most 120 q bytes.
 
 All evaluation methods accept scalars or numpy arrays and broadcast.
 """
@@ -182,17 +185,16 @@ def _stencil(s_start: float, step: float, size: int, order: int, query: bytes):
     """Gather indices (q, width) and order-th weights (q, width) for a grid.
 
     query holds the raw float64 bytes of the q ravelled query points.  The
-    weights stay a strided view of fd_weights' array: a contiguous copy
-    can change how the contraction in SampledProfile.derivative rounds.
-    Layout is not the only cause: that contraction is a stacked matmul, and
-    the OpenBLAS kernel the CPU selects changes its last digits as well.
+    weights are copied out of fd_weights' (q, width, order + 1) array, so
+    the entry keeps only the column it reads: 8 q (2 width + 1) bytes with
+    the indices and the key.
     """
     flat = np.frombuffer(query)
     width = _STENCIL[order]
     center = np.rint((flat - s_start) / step).astype(int)
     start = np.clip(center - width // 2, 0, size - width)
     idx = start[:, None] + np.arange(width)
-    w = fd_weights(s_start + step * idx, flat, order)[..., order]
+    w = fd_weights(s_start + step * idx, flat, order)[..., order].copy()
     idx.setflags(write=False)
     w.setflags(write=False)
     return idx, w
@@ -210,10 +212,9 @@ class SampledProfile(Profile):
     The gather comes from the module's stencil memo, keyed by (s_start,
     step, sample count, order, query bytes); samples are not part of the
     key.  It keeps at most _STENCIL_MEMO (8) entries.  An entry for q query
-    points at order d with a width-w stencil holds 8 q (w (d + 2) + 1)
-    bytes (the full Fornberg array behind the weight view, the int64
-    indices and the key), so the memo never keeps more than 8 * 344 q
-    bytes: about 0.7 MB at 256 points, 45 MB at 16384.
+    points with a width-w stencil holds 8 q (2 w + 1) bytes (the weights,
+    the int64 indices and the key), so the memo never keeps more than
+    960 q bytes: about 0.25 MB at 256 points, 15.7 MB at 16384.
     """
 
     max_order = 4
@@ -252,8 +253,12 @@ class SampledProfile(Profile):
         idx, w = _stencil(
             self.s_start, self.step, self.samples.size, order, s_arr.tobytes()
         )
-        # Each stacked (1, width) @ (width, 1) rounds like a single `w @ f`.
-        out = (w[:, None, :] @ self.samples[idx][:, :, None])[:, 0, 0]
+        # Summed left to right over the stencil width, not through BLAS, so
+        # every CPU adds the same products in the same order.
+        g = self.samples[idx]
+        out = w[:, 0] * g[:, 0]
+        for j in range(1, idx.shape[1]):
+            out += w[:, j] * g[:, j]
         return out.reshape(s_arr.shape) if s_arr.shape else out[0]
 
 

@@ -168,10 +168,17 @@ def _has_document(fn: _Function) -> bool:
 
 def _checked(role: str, kind, params):
     """params as floats and kind's profile builder, once role, count and finiteness pass."""
-    roles, fewest, most, _, build = _KINDS.get(kind, _UNKNOWN_KIND)
+    roles, fewest, most, _, build = (
+        _KINDS.get(kind, _UNKNOWN_KIND) if isinstance(kind, str) else _UNKNOWN_KIND
+    )
     if role not in roles:
         raise UnsupportedKind(f"unknown {role} kind {kind!r}")
-    params = tuple(map(float, params))
+    try:
+        params = tuple(map(float, params))
+    except OverflowError:
+        for i, p in enumerate(params):
+            _finite(f"{kind} {role} parameter {i}", p)
+        raise
     if not fewest <= len(params) <= (most or len(params)):
         wanted = f"{fewest}" + ("" if most == fewest else f" to {most}" if most else " or more")
         raise BadRange(f"{kind} {role} takes {wanted} parameters, got {len(params)}")
@@ -230,10 +237,13 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
 
 
 def _finite(name: str, value) -> float:
-    """value as a float; a string, a boolean, NaN and infinities are refused."""
+    """value as a float; a string, a boolean, NaN, infinities and overflow are refused."""
     if isinstance(value, (str, bool)):
         raise BadRange(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise BadRange(f"{name} is too large for a float") from None
     if not math.isfinite(value):
         raise BadRange(f"{name} must be finite, got {value}")
     return value
@@ -389,7 +399,8 @@ def _kind_params(d: dict, role: str):
     _checked's float() would read either as a number; the check is made here,
     not there, because library callers reach _checked with thousands of samples.
     """
-    kind, params = d.get("kind"), d.get("params", [])
+    kind = d.get("kind")
+    params = _json(d.get("params", []), list, f"{kind} {role} params")
     if any(issubclass(t, (str, bool)) for t in set(map(type, params))):
         bad = next(i for i, p in enumerate(params) if isinstance(p, (str, bool)))
         raise BadRange(f"{kind} {role} parameter {bad} must be a number, got {params[bad]!r}")

@@ -312,8 +312,10 @@ class TestNonFiniteNumbers:
         assert err.startswith("bad input") and "finite" in err
 
 
-# A string or a boolean where a number belongs, in the round_sphere document,
-# and the words of the refusal that name the field.
+# A string, a boolean or an int too large for a float where a number belongs,
+# a number where a list belongs and a list or an object where a kind name
+# belongs, in the round_sphere document, and the words of the refusal that
+# name the field.
 NON_NUMBER_PLACES = {
     "grid": (lambda d: d.__setitem__("grid", "64"), "grid must be a number, got '64'"),
     "dim": (lambda d: d["blocks"][0].__setitem__("dim", "4"),
@@ -326,6 +328,20 @@ NON_NUMBER_PLACES = {
                           "sin-scaled warping parameter 0 must be a number, got '1.0'"),
     "lapse parameter": (lambda d: d["lapse"]["params"].__setitem__(2, False),
                         "sin-cos lapse parameter 2 must be a number, got False"),
+    "warping params": (lambda d: d["blocks"][0]["warping"].__setitem__("params", 5),
+                       "sin-scaled warping params must be a list, got int"),
+    "lapse params": (lambda d: d["lapse"].__setitem__("params", 5),
+                     "sin-cos lapse params must be a list, got int"),
+    "list lapse kind": (lambda d: d["lapse"].__setitem__("kind", ["sin-cos"]),
+                        "unknown lapse kind ['sin-cos']"),
+    "object lapse kind": (lambda d: d["lapse"].__setitem__("kind", {"sin-cos": 1}),
+                          "unknown lapse kind {'sin-cos': 1}"),
+    "huge grid": (lambda d: d.__setitem__("grid", 10**400), "grid is too large for a float"),
+    "huge n": (lambda d: d.__setitem__("n", 10**400), "n is too large for a float"),
+    "huge k": (lambda d: d["blocks"][0].__setitem__("k", 10**400),
+               "curvature constant k is too large for a float"),
+    "huge lapse parameter": (lambda d: d["lapse"]["params"].__setitem__(1, 10**400),
+                             "sin-cos lapse parameter 1 is too large for a float"),
 }
 
 
@@ -352,7 +368,7 @@ def overflowing_doc():
 
 
 class TestNonFiniteAnswers:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["verify", "classify"])
     def test_print_as_null(self, tmp_path, capsys, command):
         code, out, _ = run(capsys, [command, write_json(tmp_path, overflowing_doc())])
@@ -902,8 +918,9 @@ class TestMalformedDocuments:
         assert out == "" and not target.exists()
         assert err.startswith("bad input:")
 
-    # Huge numbers overflow in the residuals; their answers are still printed.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Huge numbers overflow in the residuals; their answers are still printed,
+    # and main lets no RuntimeWarning out.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_seeded_mutations_never_escape_main(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("STATICGEO_GRID", raising=False)
         bases = {name: build_entry(name).to_problem_dict() | {"grid": 64} for name in FUZZ_ENTRIES}
@@ -931,12 +948,14 @@ class TestMalformedDocuments:
 
 
 # ---------------------------------------------------------------------------
-# Fresh processes: pytest has already imported scipy in this one, so these
-# guards run their probe in a new interpreter.
+# Fresh processes: pytest has already imported scipy in this one, and OpenBLAS
+# and NumPy choose their kernels once per process, so these guards run their
+# probe in a new interpreter.
 
 
-def run_fresh(code):
-    env = dict(os.environ)
+def run_fresh(code, **variables):
+    """code's stdout in a new interpreter; variables set (None: unset) in its environment."""
+    env = {k: v for k, v in (os.environ | variables).items() if v is not None}
     src = str(Path(staticgeo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -946,7 +965,57 @@ def run_fresh(code):
     return done.stdout
 
 
+def cpu_flags() -> set[str]:
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("flags"):
+                return set(line.partition(":")[2].split())
+    return set()
+
+
+def numeric_settings() -> dict[str, dict[str, str]]:
+    """Each BLAS kernel and NumPy SIMD path this CPU can run, as environment variables.
+
+    A kernel the CPU lacks would die with SIGILL, so only present ones are named.
+    """
+    flags = cpu_flags()
+    settings = {"default": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    if {"avx2", "fma"} <= flags:
+        settings["Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    if "avx512f" in flags:
+        settings["SkylakeX"] = {"OPENBLAS_CORETYPE": "SkylakeX"}
+        settings["no AVX-512"] = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    return settings
+
+
 class TestFreshProcess:
+    @pytest.mark.skipif(
+        platform.system() != "Linux" or platform.machine() != "x86_64",
+        reason="OpenBLAS core types and NumPy CPU features of Linux on x86-64",
+    )
+    def test_sampled_answers_are_the_same_bytes_under_every_kernel(self, tmp_path):
+        specs = []
+        for name in ("round_sphere", "type_ii"):
+            doc = sampled_doc(name, samples=1025) | {"grid": 256}
+            specs.append(write_json(tmp_path, doc, f"{name}.json"))
+        report = str(tmp_path / "report.csv")
+        code = f"""
+            from staticgeo.cli import main
+            for spec in {specs!r}:
+                for argv in (["verify", spec], ["classify", spec], ["report", spec, {report!r}]):
+                    print(argv[0], main(argv))
+                with open({report!r}, encoding="utf-8") as fh:
+                    print(fh.read())
+        """
+        unset = {"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+        outputs = {
+            setting: run_fresh(code, **(unset | variables))
+            for setting, variables in numeric_settings().items()
+        }
+        assert outputs["default"].count("verify 0") == 2
+        for setting, out in outputs.items():
+            assert out == outputs["default"], setting
+
     def test_cli_import_loads_no_scipy(self):
         out = run_fresh("""
             import sys

@@ -193,17 +193,25 @@ class TestFdWeights:
         assert w.shape == (7, 5)
 
 
+# Stencil width per derivative order, written out apart from profiles._STENCIL.
+STENCIL_WIDTH = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}
+
+
 def per_point_derivative(p, s, order):
     """One stencil per query point, as an independent reference.
 
-    Returns the value and sum_i |w_i f_i|, the scale of its roundoff.
+    The Python floats of fd_weights times the samples, summed left to right.
     """
-    width = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}[order]
+    width = STENCIL_WIDTH[order]
     center = int(round((s - p.s_start) / p.step))
     start = min(max(center - width // 2, 0), p.samples.size - width)
     nodes = p.s_start + p.step * np.arange(start, start + width)
-    terms = fd_weights(nodes, s, order)[:, order] * p.samples[start : start + width]
-    return terms.sum(), np.abs(terms).sum()
+    w = fd_weights(nodes, s, order)[:, order].tolist()
+    g = p.samples[start : start + width].tolist()
+    total = w[0] * g[0]
+    for j in range(1, width):
+        total = total + w[j] * g[j]
+    return total
 
 
 class TestSampledProfile:
@@ -241,14 +249,13 @@ class TestSampledProfile:
         p = self.make(lambda s: np.sin(s) + 2.0, hi=6.0, num=num)
         rng = np.random.default_rng(num)
         lo, hi = p.s_start + 3 * p.step, p.s_end - 3 * p.step
-        # Off-node queries, plus the two ends where the stencil is clamped.
-        s = np.concatenate(([lo, hi], rng.uniform(lo, hi, size=200)))
-        eps = np.finfo(float).eps
+        # Off-node queries, the two ends where the stencil is clamped, and nodes.
+        nodes = p.s_start + p.step * np.arange(3, num - 3, num // 16)
+        s = np.concatenate(([lo, hi], rng.uniform(lo, hi, size=200), nodes))
         for order in range(5):
             got = p.derivative(s, order)
-            ref = [per_point_derivative(p, sv, order) for sv in s]
-            want, scale = np.array(ref).T
-            assert np.all(np.abs(got - want) <= 8 * eps * scale), order
+            want = np.array([per_point_derivative(p, sv, order) for sv in s.tolist()])
+            assert same_bits(got, want), order
 
     def test_output_shape_follows_input(self):
         p = self.make(np.sin)
@@ -290,12 +297,15 @@ def uncached_derivative(p, s, order):
     """The batched stencil gather and contraction, rebuilt on every call."""
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
-    width = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}[order]
+    width = STENCIL_WIDTH[order]
     center = np.rint((flat - p.s_start) / p.step).astype(int)
     start = np.clip(center - width // 2, 0, p.samples.size - width)
     idx = start[:, None] + np.arange(width)
     w = fd_weights(p.s_start + p.step * idx, flat, order)[..., order]
-    out = (w[:, None, :] @ p.samples[idx][:, :, None])[:, 0, 0]
+    g = p.samples[idx]
+    out = w[:, 0] * g[:, 0]
+    for j in range(1, width):
+        out += w[:, j] * g[:, j]
     return out.reshape(s.shape) if s.shape else out[0]
 
 
@@ -376,6 +386,16 @@ class TestStencilMemo:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_entries_keep_only_the_weights_they_read(self, order):
+        p = self.make()
+        q = np.linspace(0.5, 2.5, 40)
+        idx, w = _stencil(p.s_start, p.step, p.samples.size, order, q.tobytes())
+        width = STENCIL_WIDTH[order]
+        assert w.shape == idx.shape == (q.size, width)
+        assert w.flags.c_contiguous and w.flags.owndata
+        assert w.nbytes == 8 * q.size * width
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +888,7 @@ MALFORMED_SHAPES = {
     ),
     "string of samples": (
         lambda d: d["blocks"][0]["warping"].update(kind="sampled", params="0.1"),
-        "sampled warping parameter 0 must be a number, got '0'",
+        "sampled warping params must be a list, got str",
     ),
 }
 
