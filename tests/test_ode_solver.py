@@ -22,6 +22,8 @@ Independent accuracy oracles used below:
 import dataclasses
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -32,6 +34,7 @@ from scipy.optimize import brentq
 
 from oracle_tools import loop_ode_nodes, loop_orbit_search, loop_state_ok
 from staticgeo import catalog, ode_solver
+from staticgeo import static_verifier as sv
 from staticgeo.errors import (
     BadRange,
     BlowUp,
@@ -893,3 +896,114 @@ class TestDenseOutputTie:
         h_next, hp_next = _rk4_step(2, c1, 0.0, h[:-1], hp[:-1], profile.dt)
         assert np.array_equal(h_next, h[1:])
         assert np.array_equal(hp_next, hp[1:])
+
+
+# ---------------------------------------------------------------------------
+# The dense-state memo: one RK4 step per query grid
+
+
+class TestDenseStateMemo:
+    """An integrated warping keeps the (h, h') of its last query points.
+
+    Every read must give the bits a fresh profile gives on its first read,
+    whatever was read before it, and the memo must hold only what the
+    last query's points determine.
+    """
+
+    @staticmethod
+    def fresh(params, s, order):
+        return OdeBackedProfile(params).derivative(s, order)
+
+    def test_interleaved_reads_match_fresh_profiles(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        grid_a = np.linspace(0.05, 0.95, 33)
+        grid_b = np.linspace(0.1, 0.9, 17)
+        flat = np.linspace(0.2, 0.8, 12)
+        reads = [
+            (grid_a, 3), (grid_b, 0), (grid_a, 1), (np.float64(0.4), 2),
+            (flat.reshape(2, 6), 4), (flat, 4), (flat.reshape(2, 6), 0),
+            (grid_a, 0), (grid_a, 2), (grid_a, 4), (grid_b, 1), (grid_b, 3),
+            (0.4, 0), (np.float64(0.4), 1), (flat, 2),
+        ]
+        for s, order in reads:
+            got = prof.derivative(s, order)
+            want = self.fresh(fiber_params, s, order)
+            assert np.shape(got) == np.shape(want) == np.shape(s)
+            assert np.array_equal(got, want), (np.shape(s), order)
+
+    def test_query_rewritten_in_place_gets_fresh_rows(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        s = np.linspace(0.05, 0.95, 33)
+        prof.derivative(s, 0)
+        s[:] = np.linspace(0.1, 0.9, 33)
+        for order in range(5):
+            assert np.array_equal(
+                prof.derivative(s, order), self.fresh(fiber_params, s, order)
+            )
+
+    def test_memo_rows_refuse_writes(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        s = np.linspace(0.05, 0.95, 33)
+        for order in (0, 1):
+            row = prof.derivative(s, order)
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        assert np.array_equal(prof.derivative(s, 0), self.fresh(fiber_params, s, 0))
+
+    def test_domain_check_runs_on_every_read(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        s = np.linspace(0.05, 0.95, 33)
+        prof.derivative(s, 0)
+        s[-1] = 1.5
+        with pytest.raises(OutOfDomain, match="outside the integrated domain"):
+            prof.derivative(s, 0)
+
+    def test_threads_reading_different_grids(self, fiber_params):
+        prof = OdeBackedProfile(fiber_params)
+        grids = [np.linspace(0.05, 0.95, 257), np.linspace(0.1, 0.9, 129)]
+        want = [[self.fresh(fiber_params, g, d) for d in range(5)] for g in grids]
+        wrong, done = [], [0, 0]
+
+        def work(i):
+            for _ in range(200):
+                for d in range(5):
+                    if not np.array_equal(prof.derivative(grids[i], d), want[i][d]):
+                        wrong.append((i, d))
+                done[i] += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert done == [200, 200]
+        assert wrong == []
+
+    @pytest.mark.parametrize("name", ["example3", "example4", "type_iv"])
+    def test_one_dense_step_per_answer(self, monkeypatch, name):
+        # Before the memo: 7 steps per answer, and 14, 14 and 20 for the audits.
+        steps = [0]
+        step = ode_solver._rk4_step
+
+        def counting(*args):
+            steps[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(ode_solver, "_rk4_step", counting)
+        entry = catalog.build_entry(name)
+        spec, lapse = entry.spec, entry.lapse
+        steps[0] = 0
+        sv.verify_pair(spec, lapse)
+        sv.classify(spec, lapse)
+        assert steps[0] == 1
+        sv.identity_dcw(spec, lapse)
+        sv.identity_db(spec, lapse)
+        if len(spec.blocks) == 2:
+            sv.check_lemma41(spec, lapse)
+        assert steps[0] == 1
