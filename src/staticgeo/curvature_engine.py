@@ -21,8 +21,10 @@ contraction sum_k R_{akak} reproduce lambda_a; a unit test enforces this.
 Derivatives of the classes are computed with truncated Taylor jets, so
 first and second derivatives of eigenvalue profiles are exact given the
 warping's derivative tower (no finite differencing happens here).  Each
-public operation below reads one jet tower (`_Frame`), and each answer
-and dense audit in static_verifier builds exactly one.
+public operation reads one jet tower (`_Frame`), and each answer and dense
+audit in static_verifier builds one: the Ricci jets and m_class up front,
+the other classes on first read, each jet only to the order its reader
+needs.
 
 Scalar s arguments or 1-d grids are both accepted; outputs carry the
 grid axes last, block axes first.
@@ -31,6 +33,7 @@ grid axes last, block axes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +135,12 @@ class _Frame:
     and the block axis second, so jet arithmetic broadcasts across blocks
     and evaluation points alike.  One frame feeds a whole answer or dense
     audit: h, xi, Ricci, Weyl, Cotton, Bach and D jets all come from it.
+
+    The constructor builds what an answer reads (h, xi, trace, lam, lam1,
+    scal) and m_class, a negation of a sum it needs anyway; p_class,
+    q_class and the A jets are built on first read and kept.  Each jet is
+    cut to the order its reader needs, which moves no bit: row k of a jet
+    product or quotient reads only rows 0..k.
     """
 
     def __init__(self, spec: WarpedProductSpec, s, lam_order: int):
@@ -141,43 +150,47 @@ class _Frame:
         self.n = spec.n
         self.B = len(spec.blocks)
         horder = lam_order + 2
+        self.lo = lo = lam_order + 1                   # rows of every class jet
         self.h = h = jet_from_derivatives(_warping_rows(spec, s, horder))
         tail = (self.B,) + (1,) * s.ndim
-        dims = np.array([b.dim for b in spec.blocks], dtype=float).reshape(tail)
-        ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(tail)
+        self.dims = dims = np.array([b.dim for b in spec.blocks], dtype=float).reshape(tail)
+        self.ks = ks = np.array([b.k for b in spec.blocks], dtype=float).reshape(tail)
 
-        hp = jder(h)                                   # order: horder-1
-        self.xi = jdiv(hp, h[:horder])                 # order: horder-1
-        h2inv = jdiv(jconst(1.0, horder, like=h), jmul(h, h))
-        self.trace = np.sum(dims * self.xi, axis=1)    # sum_i xi_i, mult-weighted
-        xi_p = jder(self.xi)                           # order: horder-2 = lam_order
-        lo = lam_order + 1
-        xi_sq = jmul(self.xi, self.xi)
+        self.xi = xi = jdiv(jder(h), h[:horder])       # order: horder-1
+        self.h2inv = jdiv(jconst(1.0, lam_order, like=h), jmul(h[:lo], h[:lo]))
+        self.trace = np.sum(dims * xi, axis=1)         # sum_i xi_i, mult-weighted
+        xi_p = jder(xi)                                # order: horder-2 = lam_order
+        curv = xi_p + jmul(xi[:lo], xi[:lo])           # xi' + xi^2
         # lambda_a = -xi' - xi * trace + (dim-1) k / h^2
-        self.lam = (
-            -xi_p[:lo]
-            - jmul(self.xi, self.trace[:, None])[:lo]
-            + (dims - 1.0) * ks * h2inv[:lo]
-        )
+        self.lam = -xi_p - jmul(xi[:lo], self.trace[:lo, None]) + (dims - 1.0) * ks * self.h2inv
         # lambda_1 = -sum_j r_j (xi_j' + xi_j^2)
-        self.lam1 = -np.sum(dims * (xi_p[:lo] + xi_sq[:lo]), axis=1)
+        self.lam1 = -np.sum(dims * curv, axis=1)
+        self.m_class = -curv                           # R_{1a1a}
         self.scal = self.lam1 + np.sum(dims * self.lam, axis=1)
-        # R_{1a1a} and friends
-        self.m_class = -(xi_p[:lo] + xi_sq[:lo])
-        p = jmul(ks * jconst(1.0, horder - 1, like=h) - jmul(hp, hp), h2inv)[:lo]
-        p[:, dims.ravel() == 1] = np.nan
-        self.p_class = p
-        q = -jmul(self.xi[:, :, None], self.xi[:, None, :])[:lo]
+
+    @cached_property
+    def p_class(self):                                 # R_{abab} = (k - h'^2)/h^2, nan if dim 1
+        _check_fiber_data(self.spec)
+        hp = jder(self.h)[: self.lo]
+        p = jmul(self.ks * jconst(1.0, self.lo - 1, like=self.h) - jmul(hp, hp), self.h2inv)
+        p[:, self.dims.ravel() == 1] = np.nan
+        return p
+
+    @cached_property
+    def q_class(self):                                 # R_{a alpha a alpha} = -xi_a xi_alpha
+        q = -jmul(self.xi[: self.lo, :, None], self.xi[: self.lo, None, :])
         q[:, np.arange(self.B), np.arange(self.B)] = np.nan
-        self.q_class = q
-        # A_ij = R_ij - R/(2(n-1)) delta_ij
-        shift = self.scal / (2.0 * (self.n - 1))
-        self.A1 = self.lam1 - shift
-        self.Ablk = self.lam - shift[:, None]
-        self.dims = dims
+        return q
+
+    @cached_property
+    def A1(self):                                      # A_ij = R_ij - R/(2(n-1)) delta_ij
+        return self.lam1 - self.scal / (2.0 * (self.n - 1))
+
+    @cached_property
+    def Ablk(self):
+        return self.lam - (self.scal / (2.0 * (self.n - 1)))[:, None]
 
     def weyl_jets(self):
-        _check_fiber_data(self.spec)
         nm2 = self.n - 2
         w_base = self.m_class - (self.A1[:, None] + self.Ablk) / nm2
         w_intra = self.p_class - 2.0 * self.Ablk / nm2
@@ -289,7 +302,6 @@ def d_tensor_derivatives(
 
 def riemann_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
     """Sectional-curvature classes; intra-block entries need space forms."""
-    _check_fiber_data(spec)
     fr = _Frame(spec, s, 0)
     return RiemannClasses(fr.m_class[0], fr.p_class[0], fr.q_class[0])
 
@@ -412,10 +424,7 @@ def _riemann_table(spec: WarpedProductSpec):
 
 def _riemann_source(classes: RiemannClasses) -> np.ndarray:
     """Base, intra and the flattened cross classes stacked on one axis."""
-    cross = classes.cross_block
-    return np.concatenate(
-        [classes.base_block, classes.intra_block, cross.reshape((-1,) + cross.shape[2:])]
-    )
+    return np.concatenate([classes.base_block, classes.intra_block, *classes.cross_block])
 
 
 def _first_slot(classes: RiemannClasses, spec: WarpedProductSpec) -> np.ndarray:

@@ -460,6 +460,88 @@ class TestDenseOracles:
         assert np.max(np.abs(got - want)) <= 1e-12 * divergence_scale(W, Wp, G)
 
 
+def grid_last_outputs(spec, lapse, s):
+    """Every public curvature operation at s, each array with the grid axes last."""
+    last = tuple(range(-np.ndim(s), 0))
+
+    def grid_last(dense):
+        return np.moveaxis(dense, tuple(range(np.ndim(s))), last)
+
+    out = {"xi_profile": ce.xi_profile(spec, s), "scalar_profile": ce.scalar_profile(spec, s)}
+    for op, run in CLASS_OPERATIONS.items():
+        classes = run(spec, lapse, s)
+        out.update({f"{op}.{k}": v for k, v in vars(classes).items()})
+        out[f"{op} dense"] = grid_last(ce.materialize_full(classes, spec))
+    out.update(vars(ce.eigenvalue_derivatives(spec, s, order=2)))
+    out["d_tensor_derivatives"] = ce.d_tensor_derivatives(spec, lapse, s, order=2)
+    out["cotton_from_weyl_divergence"] = ce.cotton_from_weyl_divergence(spec, s).value_block
+    G = ce.frame_connection(spec, s)
+    C = ce.materialize_full(ce.cotton_classes(spec, s), spec)
+    W = ce.materialize_full(ce.weyl_classes(spec, s), spec)
+    out["frame_connection"] = grid_last(G)
+    out["dense_three_tensor_divergence"] = grid_last(ce.dense_three_tensor_divergence(C, C, G))
+    out["dense_weyl_divergence"] = grid_last(ce.dense_weyl_divergence(W, W, G))
+    return out
+
+
+@pytest.mark.parametrize("name", ["round_sphere", "type_ii", "type_iv"])
+def test_every_operation_on_every_grid_shape(entry_by_name, name):
+    # A scalar, a (2, 3) grid and an empty grid give the 1-d grid's values
+    # at the same points, in the shape of s.
+    e = entry_by_name[name]
+    points = e.spec.evaluation_grid()[:6]
+    want = grid_last_outputs(e.spec, e.lapse, points)
+    for s in (float(points[2]), points.reshape(2, 3), points[:0]):
+        got = grid_last_outputs(e.spec, e.lapse, s)
+        assert got.keys() == want.keys()
+        for key, values in want.items():
+            if np.ndim(s) == 0:
+                ref = values[..., 2]
+            else:
+                ref = values[..., : np.size(s)].reshape(values.shape[:-1] + np.shape(s))
+            assert np.array_equal(got[key], ref, equal_nan=True), key
+
+
+FRAME_JETS = ("h", "xi", "lam1", "lam", "scal", "m_class", "p_class", "q_class", "A1", "Ablk")
+
+
+def frame_jets(frame):
+    out = {key: getattr(frame, key) for key in FRAME_JETS}
+    out.update(zip(("w_base", "w_intra", "w_cross"), frame.weyl_jets()))
+    out["cotton"] = frame.cotton_jets()
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_frame_jets_are_truncations_of_the_next_order(entry_by_name, name):
+    # Each jet is cut to the order its reader needs; a frame of one order
+    # more must only add rows, never change one.  ODE-backed warpings give
+    # derivatives to order 4, so their frames stop at order 2 (warping
+    # order 4) and the comparison at k = 1.
+    spec = entry_by_name[name].spec
+    s = spec.evaluation_grid()
+    frames = []
+    for k in range(4):
+        try:
+            frames.append(ce._Frame(spec, s, k))
+        except DerivativeOrderUnavailable:
+            break
+    assert len(frames) >= 3
+    for low, high in zip(frames, frames[1:]):
+        got, more = frame_jets(low), frame_jets(high)
+        for key, jet in got.items():
+            assert more[key].shape == (jet.shape[0] + 1,) + jet.shape[1:], key
+            assert np.array_equal(jet, more[key][: jet.shape[0]], equal_nan=True), key
+        dim_one = (low.dims == 1).reshape(low.B, 1)
+        np.testing.assert_array_equal(
+            np.isnan(low.p_class), np.broadcast_to(dim_one, low.p_class.shape)
+        )
+        diagonal = np.eye(low.B, dtype=bool)[:, :, None]
+        np.testing.assert_array_equal(
+            np.isnan(low.q_class), np.broadcast_to(diagonal, low.q_class.shape)
+        )
+
+
 class TestEngineErrors:
     def abstract_spec(self, dim):
         return WarpedProductSpec(

@@ -845,6 +845,34 @@ class TestOneFramePerAudit:
                 assert np.array_equal(h[d, j], want)
 
 
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """Calls of the jet product and quotient made by the curvature engine."""
+    calls = {"jmul": 0, "jdiv": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _op=getattr(ce, name)):
+            calls[_name] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(ce, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["round_sphere", "type_ii", "type_iv"])
+def test_an_answer_builds_only_the_ricci_jets(entry_by_name, jet_calls, name):
+    # An answer reads the Ricci jets and the D classes; the sectional and
+    # Weyl classes are built only when a dense audit reads them.
+    e = entry_by_name[name]
+    verify_pair(e.spec, e.lapse)
+    classify(e.spec, e.lapse)
+    assert jet_calls == {"jmul": 4, "jdiv": 2}
+    jet_calls.update(jmul=0, jdiv=0)
+    identity_dcw(e.spec, e.lapse)
+    identity_db(e.spec, e.lapse)
+    assert jet_calls == {"jmul": 17, "jdiv": 4}
+
+
 # ---------------------------------------------------------------------------
 # Dense audits: index tables, matrix products and chunks against the oracle
 
