@@ -197,9 +197,13 @@ class _Frame:
         w_cross = self.q_class - (self.Ablk[:, :, None] + self.Ablk[:, None, :]) / nm2
         return w_base, w_intra, w_cross
 
-    def cotton_jets(self):
+    @cached_property
+    def _cotton(self):
         # C_{a1a} = (A_11 - A_aa) xi_a - A_aa'; A_aa' is one jet order shorter.
         return jmul(self.A1[:, None] - self.Ablk, self.xi)[:-1] - jder(self.Ablk)
+
+    def cotton_jets(self):
+        return self._cotton
 
     def bach(self) -> DiagonalTwoTensor:
         """bach_spectrum's values; needs lam_order >= 2 and space-form fibers."""

@@ -244,6 +244,7 @@ class OdeBackedProfile(Profile):
     """
 
     max_order = 4
+    approximate = True
 
     def __init__(self, params: WarpingODEParams):
         lo, hi = params.domain
@@ -328,7 +329,7 @@ def integrate_warping(params: WarpingODEParams) -> WarpingFunction:
     lo, hi = params.domain
     if params.step not in (None, (hi - lo) / DEFAULT_STEPS):
         tag += (float(params.step),)
-    return WarpingFunction("ode-backed", tag, profile.max_order, profile)
+    return WarpingFunction("ode-backed", tag, profile)
 
 
 def first_integral(params: WarpingODEParams, h, h_prime) -> FirstIntegralValue:
@@ -344,8 +345,7 @@ def lapse_from_warping(h: WarpingFunction, c: float) -> LapseFunction:
     """The lapse f = c h' that pairs with an equation-driven warping."""
     if c == 0.0:
         raise ZeroScale("lapse scale must be nonzero")
-    profile = ScaledDerivativeProfile(h.profile, float(c))
-    return LapseFunction("derived", (float(c),), h.derivative_order - 1, profile)
+    return LapseFunction("derived", (float(c),), ScaledDerivativeProfile(h.profile, float(c)))
 
 
 def k0_threshold(n: int, R: float, a: float) -> float:

@@ -66,6 +66,11 @@ class Profile:
 
     max_order: int = 0
 
+    @property
+    def approximate(self) -> bool:
+        """True for sampled or RK4 data, which carry error, and for any profile built on them."""
+        return any(isinstance(p, Profile) and p.approximate for p in vars(self).values())
+
     def derivative(self, s, order: int):
         raise NotImplementedError
 
@@ -218,6 +223,7 @@ class SampledProfile(Profile):
     """
 
     max_order = 4
+    approximate = True
 
     def __init__(self, s_start: float, step: float, samples):
         samples = np.asarray(samples, dtype=float)

@@ -90,7 +90,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named residual channels over a grid; `_evaluation` keeps verify_pair's (d, fs, dc)."""
+    """Named residual channels over a grid; `_evaluation` keeps verify_pair's (d, dc)."""
 
     channels: Mapping[str, Channel]
     grid: np.ndarray = field(repr=False)
@@ -140,13 +140,12 @@ ODE_BACKED = ToleranceProfile(residual=1e-5, distinct_rel=1e-6, structure=1e-5)
 
 
 def tier_for(spec: WarpedProductSpec, f: LapseFunction) -> ToleranceProfile:
-    """Pick the tolerance tier from the data sources of the warpings and the lapse.
+    """Pick the tolerance tier from the data of the warpings and the lapse.
 
-    Trajectory-backed or sampled inputs carry integration and stencil
-    noise, so they get the looser tier.
+    Sampled or RK4-backed data, and any profile built on it, carry stencil or
+    integration noise (Profile.approximate), so they get the looser tier.
     """
-    kinds = {f.kind, *(b.warping.kind for b in spec.blocks)}
-    if kinds & {"ode-backed", "sampled", "derived"}:
+    if any(fn.profile.approximate for fn in (f, *(b.warping for b in spec.blocks))):
         return ODE_BACKED
     return ANALYTIC
 
@@ -374,13 +373,13 @@ def verify_pair(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     if last_spec is spec and last_f is f:
         return last_report
     s = spec.evaluation_grid()
-    d, fs, point, dc = _static_rows(spec, f, s, order=1)
+    d, _, point, dc = _static_rows(spec, f, s, order=1)
     point.update(_harmonic_channels(spec, d))
     point.update(_integrability_channels(spec, d))
     report = _report(point, s)
-    for a in (s, *fs, dc, *vars(d).values()):
+    for a in (s, dc, *vars(d).values()):
         a.setflags(write=False)
-    object.__setattr__(report, "_evaluation", (d, fs, dc))
+    object.__setattr__(report, "_evaluation", (d, dc))
     _last_pair = (spec, f, report)
     return report
 
@@ -445,7 +444,7 @@ def classify(
         tol = tier_for(spec, f)
     report = verify_pair(spec, f)
     _last_pair = _EMPTY
-    d, _, dc = report._evaluation
+    d, dc = report._evaluation
     lam1, lam_blk, scal, xi = d.lambda_1[0], d.lambda_block[0], d.scalar[0], d.xi[0]
     dims = [b.dim for b in spec.blocks]
     scale = max(float(np.max(np.abs(lam_blk))), float(np.max(np.abs(lam1))), 1e-12)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     BadRange,
-    DerivativeOrderUnavailable,
     OutOfDomain,
     UnsupportedKind,
     ZeroScale,
@@ -108,25 +107,19 @@ class _Function:
     """A profile tagged with the kind and parameters it was built from.
 
     params echoes the construction parameters (for serialization and
-    reports); derivative_order is the highest order a reader may ask for,
-    enforced on every read: value and derivative both go through
-    derivative, so every warping and lapse reader refuses the same orders.
+    reports).  Every read goes to the profile, whose max_order is the only
+    declared order and whose _check_order is the only refusal, so every
+    warping and lapse reader refuses the same orders.
     """
 
     kind: str
     params: tuple[float, ...]
-    derivative_order: int
     profile: Profile = field(repr=False, compare=False)
 
     def value(self, s):
-        return self.derivative(s, 0)
+        return self.profile.derivative(s, 0)
 
     def derivative(self, s, order: int):
-        if order > self.derivative_order:
-            raise DerivativeOrderUnavailable(
-                f"derivative order {order} not available "
-                f"(max {self.derivative_order} for this {self.kind} function)"
-            )
         return self.profile.derivative(s, order)
 
 
@@ -194,8 +187,7 @@ def _function(cls, role: str, kind, params):
     params, build = _checked(role, kind, params)
     if build is None:
         raise UnsupportedKind(f"a {kind} {role} needs its document's domain or blocks")
-    profile = build(params)
-    return cls(kind, params, profile.max_order, profile)
+    return cls(kind, params, build(params))
 
 
 def make_analytic_warping(kind: str, params) -> WarpingFunction:
@@ -211,7 +203,7 @@ def make_sampled_warping(s_start: float, step: float, samples) -> WarpingFunctio
     params, _ = _checked("warping", "sampled", (s_start, step, *samples.ravel().tolist()))
     profile = SampledProfile(params[0], params[1], samples)
     profile.require_positive()
-    return WarpingFunction("sampled", params, profile.max_order, profile)
+    return WarpingFunction("sampled", params, profile)
 
 
 def make_lapse(kind: str, params) -> LapseFunction:
@@ -230,10 +222,7 @@ def perturbed_lapse(f: LapseFunction, extra: Profile) -> LapseFunction:
     compares equal to f (function equality ignores the profile), and
     _problem_dict refuses to write it rather than write f.
     """
-    return LapseFunction(
-        f.kind, f.params, min(f.derivative_order, extra.max_order),
-        SumProfile(f.profile, extra),
-    )
+    return LapseFunction(f.kind, f.params, SumProfile(f.profile, extra))
 
 
 def _finite(name: str, value) -> float:

@@ -1,10 +1,13 @@
 """Shared fixtures: the reference catalog is built once per session."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from staticgeo import curvature_engine as ce
 from staticgeo import static_verifier as sv
 from staticgeo.catalog import default_catalog
+from staticgeo.profiles import Profile
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +42,21 @@ def frame_builds(monkeypatch):
 
     monkeypatch.setattr(ce._Frame, "__init__", counting)
     return built
+
+
+@dataclass(frozen=True)
+class _Capped(Profile):
+    """base with its derivative tower cut at max_order: a function that reads less."""
+
+    base: Profile
+    max_order: int
+
+    def derivative(self, s, order: int):
+        self._check_order(order)
+        return self.base.derivative(s, order)
+
+
+@pytest.fixture
+def capped():
+    """capped(profile, order): the profile, refusing every order above order."""
+    return _Capped

@@ -55,7 +55,6 @@ from staticgeo.ode_solver import (
     turning_point,
 )
 from staticgeo.profiles import (
-    ANALYTIC_ORDER,
     HyperbolicProfile,
     PolynomialProfile,
     SumProfile,
@@ -87,16 +86,16 @@ def reference_spec(n: int, grid_points: int = 64) -> WarpedProductSpec:
     vary.
     """
     h1 = WarpingFunction(
-        "custom", (), ANALYTIC_ORDER,
+        "custom", (),
         SumProfile(PolynomialProfile((2.0,)), TrigProfile(a_sin=0.5, omega=1.0)),
     )
     h2 = WarpingFunction(
-        "custom", (), ANALYTIC_ORDER, PolynomialProfile((1.0, 0.0, 0.125))
+        "custom", (), PolynomialProfile((1.0, 0.0, 0.125))
     )
     blocks = [FiberBlock(2, h1, "space_form", 1.0), FiberBlock(1, h2)]
     if n == 5:
         h3 = WarpingFunction(
-            "custom", (), ANALYTIC_ORDER, HyperbolicProfile(a_cosh=1.5, omega=0.5)
+            "custom", (), HyperbolicProfile(a_cosh=1.5, omega=0.5)
         )
         blocks.append(FiberBlock(1, h3))
     elif n != 4:
@@ -107,7 +106,7 @@ def reference_spec(n: int, grid_points: int = 64) -> WarpedProductSpec:
 def reference_lapse() -> LapseFunction:
     """The lapse COORD_F as a package object."""
     return LapseFunction(
-        "poly", (1.0, 1.0 / 3.0), ANALYTIC_ORDER, PolynomialProfile((1.0, 1.0 / 3.0))
+        "poly", (1.0, 1.0 / 3.0), PolynomialProfile((1.0, 1.0 / 3.0))
     )
 
 

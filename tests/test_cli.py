@@ -413,6 +413,25 @@ class TestClassify:
         assert doc["label"] == "Invalid"
         assert doc["diagnostics"]["detail"].startswith("residual gate failed")
 
+    @pytest.mark.parametrize(
+        "lapse",
+        [{"kind": "sin-cos", "params": [0.0, 1.0 + 1e-10, 1.0 + 1e-10]},
+         {"kind": "derived", "params": [1.0]}],
+    )
+    def test_a_lapse_gets_one_tier_however_it_is_written(self, tmp_path, capsys, lapse):
+        # round_sphere with h = sin(w s), w = 1 + 1e-10, misses the equations by
+        # about 1e-6, and f = h' = w cos(w s) is closed-form both ways it is written.
+        doc = build_entry("round_sphere").to_problem_dict()
+        doc["blocks"][0]["warping"]["params"] = [1.0, 1.0 + 1e-10]
+        doc["lapse"] = lapse
+        path = write_json(tmp_path, doc)
+        code, out, _ = run(capsys, ["verify", path])
+        assert code == 1
+        assert json.loads(out)["tolerance"] == 1e-8
+        code, out, _ = run(capsys, ["classify", path])
+        assert code == 1
+        assert json.loads(out)["label"] == "Invalid"
+
     def test_nan_residual_exits_one(self, tmp_path, capsys):
         # The warping vanishes at s = 0, so validation refuses the document.
         path = write_json(tmp_path, vanishing_doc(5, (-1.0, 1.0), grid=1025))

@@ -350,9 +350,8 @@ class TestDenseStructure:
         h2 = SampledProfile(grid[0], step, analytic.blocks[1].warping.value(grid))
         sampled_spec = WarpedProductSpec(
             blocks=(
-                FiberBlock(2, WarpingFunction("sampled", (), 4, h1),
-                           "space_form", 1.0),
-                FiberBlock(1, WarpingFunction("sampled", (), 4, h2)),
+                FiberBlock(2, WarpingFunction("sampled", (), h1), "space_form", 1.0),
+                FiberBlock(1, WarpingFunction("sampled", (), h2)),
             ),
             domain=analytic.domain,
             grid_points=64,
@@ -644,13 +643,13 @@ class TestEngineErrors:
             with pytest.raises(OutOfDomain, match="margin-shrunk domain"):
                 ce._check_domain(spec, np.array([outside]))
 
-    def test_derivative_tower_limit_surfaces(self):
+    def test_derivative_tower_limit_surfaces(self, capped):
         grid = np.linspace(-1.0, 3.0, 801)
         prof = SampledProfile(grid[0], grid[1] - grid[0], np.exp(0.1 * grid))
 
         def spec_with(order, second_block=()):
             return WarpedProductSpec(
-                blocks=(FiberBlock(3, WarpingFunction("sampled", (), order, prof),
+                blocks=(FiberBlock(3, WarpingFunction("sampled", (), capped(prof, order)),
                                    "space_form", 1.0),) + second_block,
                 domain=(0.2, 1.8),
                 grid_points=64,
@@ -677,17 +676,17 @@ class TestEngineErrors:
             ce.cotton_from_weyl_divergence(lower, s)
         # The lapse: identity_dcw needs it to order 1, identity_db to order 2.
         lapse = reference_lapse()
-        first_order = LapseFunction(lapse.kind, lapse.params, 1, lapse.profile)
+        first_order = LapseFunction(lapse.kind, lapse.params, capped(lapse.profile, 1))
         identity_dcw(spec, first_order)
         with pytest.raises(DerivativeOrderUnavailable):
             identity_db(spec, first_order)
-        values_only = LapseFunction(lapse.kind, lapse.params, 0, lapse.profile)
+        values_only = LapseFunction(lapse.kind, lapse.params, capped(lapse.profile, 0))
         for audit in (identity_dcw, identity_db):
             with pytest.raises(DerivativeOrderUnavailable):
                 audit(spec, values_only)
         # Every other lapse reader keeps the declared order too: the answers
         # and the report read f'' (order 2), Lemma 4.1 reads f' (order 1).
-        second_order = LapseFunction(lapse.kind, lapse.params, 2, lapse.profile)
+        second_order = LapseFunction(lapse.kind, lapse.params, capped(lapse.profile, 2))
         verify_pair(spec, second_order)
         for reader in (verify_pair, classify, static_residual, static_pointwise,
                        cli._report_columns):

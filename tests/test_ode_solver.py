@@ -245,7 +245,7 @@ class TestIntegration:
     def test_wrapped_warping_metadata(self, fiber_params):
         w = integrate_warping(fiber_params)
         assert w.kind == "ode-backed"
-        assert w.derivative_order == 4
+        assert w.profile.max_order == 4
         assert w.params == (4.0, 1.0, 1.0, 1.0, 0.0)
 
 
@@ -347,7 +347,7 @@ class TestLapseFromWarping:
         f = lapse_from_warping(w, 2.5)
         assert f.kind == "derived"
         assert f.params == (2.5,)
-        assert f.derivative_order == w.derivative_order - 1
+        assert f.profile.max_order == w.profile.max_order - 1
         s = np.linspace(0.1, 0.9, 17)
         np.testing.assert_array_equal(f.value(s), 2.5 * w.derivative(s, 1))
         np.testing.assert_array_equal(f.derivative(s, 1), 2.5 * w.derivative(s, 2))

@@ -643,24 +643,24 @@ class TestConstruction:
             f.rescaled(0.0)
 
     def test_warpings_and_lapses_share_one_record(self):
-        names = ["kind", "params", "derivative_order", "profile"]
+        names = ["kind", "params", "profile"]
         for cls in (WarpingFunction, LapseFunction):
             assert [f.name for f in dataclasses.fields(cls)] == names
         assert not issubclass(LapseFunction, WarpingFunction)
         assert not hasattr(WarpingFunction, "rescaled")
         profile = PolynomialProfile((1.0,))
-        w = WarpingFunction("constant", (1.0,), 8, profile)
-        assert w == WarpingFunction("constant", (1.0,), 8, PolynomialProfile((2.0,)))
-        assert hash(w) == hash(WarpingFunction("constant", (1.0,), 8, profile))
-        assert w != LapseFunction("constant", (1.0,), 8, profile)
-        assert repr(w) == "WarpingFunction(kind='constant', params=(1.0,), derivative_order=8)"
+        w = WarpingFunction("constant", (1.0,), profile)
+        assert w == WarpingFunction("constant", (1.0,), PolynomialProfile((2.0,)))
+        assert hash(w) == hash(WarpingFunction("constant", (1.0,), profile))
+        assert w != LapseFunction("constant", (1.0,), profile)
+        assert repr(w) == "WarpingFunction(kind='constant', params=(1.0,))"
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.kind = "linear"
 
     def test_derivative_order_is_the_profile_order(self):
-        assert make_lapse("poly", (1.0, 2.0)).derivative_order == 8
-        assert make_analytic_warping("sin-scaled", (1.0, 1.0)).derivative_order == 8
-        assert make_lapse("sampled", (0.0, 0.1, *[1.0] * 9)).derivative_order == 4
+        assert make_lapse("poly", (1.0, 2.0)).profile.max_order == 8
+        assert make_analytic_warping("sin-scaled", (1.0, 1.0)).profile.max_order == 8
+        assert make_lapse("sampled", (0.0, 0.1, *[1.0] * 9)).profile.max_order == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1089,7 +1089,7 @@ class TestRescaledLapse:
             assert g != f
             assert g == f.rescaled(c)
             assert g.kind == f.kind
-            assert g.derivative_order == f.derivative_order
+            assert g.profile.max_order == f.profile.max_order
 
     @pytest.mark.parametrize("case", RESCALE_CASES)
     def test_rescaled_document_reloads_as_the_scaled_lapse(self, entry_by_name, case):
