@@ -19,13 +19,14 @@ from the nearest stored node; all derivatives of order two and higher come
 from the differential equation, never from finite differences, so the
 equation residual of the profile is zero by construction.
 
-A warping keeps the dense state (h, h') of its last query in a one-entry
-memo of its own, keyed by the shape and the raw float64 bytes of the
-query points.  Every derivative order on one grid, and the lapse f = c h'
-that wraps the same profile, read it from one dense step, and orders 2-4
-come from it by the same formulas on every call.  The memo's rows are
-read-only; it holds 24 q bytes for q points (the key, h and h'): 384 KB
-at 16384 points, 6 MB at the grid cap of 2^18.
+A warping keeps the rows of its last query in the one-entry memo of
+`Profile._grid_state`, keyed by the shape and the raw float64 bytes of the
+query points: the dense state (h, h') from one dense step, then each of
+orders 2-4 the first time it is read, by the same formulas on every grid.
+Every derivative order on one grid, and the lapse f = c h' that wraps the
+same profile, read those rows, so each is computed once per grid.  The
+memo's rows are read-only; it holds at most 48 q bytes for q points (the
+key and five rows): 768 KB at 16384 points, 12 MB at the grid cap of 2^18.
 
 Turning points and the orbit's return crossing come from `_bisect`, which
 halves a sign-change bracket until its ends are adjacent floats.
@@ -232,9 +233,11 @@ class OdeBackedProfile(Profile):
 
     Stores the fixed-step nodes (read-only arrays) and evaluates anywhere
     in the domain by one Runge-Kutta step from the node just below the
-    query point.  That step's (h, h') is kept, read-only, for the last
-    query points only (keyed by their shape and float64 bytes, 24 bytes
-    a point with the key), so the orders of one grid share it; the
+    query point.  Its rows at the last query points (keyed by their shape
+    and float64 bytes) stay in `Profile._grid_state`'s memo: that step's
+    (h, h'), then each order 2-4 the first time it is read, read-only, at
+    most 48 bytes a point with the key.  So the orders of one grid, and
+    the lapse f = c h' on the same profile, compute each row once; the
     domain check runs on every call.
     Orders 2 through 4 are read off the equation:
 
@@ -270,51 +273,36 @@ class OdeBackedProfile(Profile):
         self.hp_nodes = hp
         h.setflags(write=False)
         hp.setflags(write=False)
-        self._memo = (None, None)
 
-    def _state(self, s):
-        """(h, h') at s, from the memo when s holds the last query's points."""
+    def _next_rows(self, s, rows):
+        """rows (h, h', ...) at s and the next: one dense step, then the equation's rows."""
+        pr = self.params
+        p, c1, c0 = float(pr.power), pr.linear_coeff, pr.forcing
+        if not rows:
+            idx = np.clip(
+                np.floor((s - self.s_lo) / self.dt).astype(int), 0, self.h_nodes.size - 1
+            )
+            delta = s - (self.s_lo + idx * self.dt)
+            return _rk4_step(
+                pr.power, c1, c0, self.h_nodes[idx], self.hp_nodes[idx], delta
+            )
+        h, hp = rows[0], rows[1]
+        if len(rows) == 2:
+            sing = c0 * h ** (-p) if c0 != 0.0 else np.zeros_like(h)
+            return rows + (sing - c1 * h,)
+        sing1 = -p * c0 * h ** (-p - 1.0) if c0 != 0.0 else np.zeros_like(h)
+        if len(rows) == 3:
+            return rows + (hp * (sing1 - c1),)
+        sing2 = p * (p + 1.0) * c0 * h ** (-p - 2.0) if c0 != 0.0 else np.zeros_like(h)
+        return rows + (sing2 * hp**2 + (sing1 - c1) * rows[2],)
+
+    def derivative(self, s, order: int):
+        self._check_order(order)
         s = _within(
             s, self.s_lo, self.s_hi, self.dt,
             "evaluation outside the integrated domain [{lo:g}, {hi:g}]",
         )
-        key = (s.shape, s.tobytes())
-        memo = self._memo
-        if memo[0] == key:
-            return memo[1]
-        idx = np.clip(
-            np.floor((s - self.s_lo) / self.dt).astype(int), 0, self.h_nodes.size - 1
-        )
-        delta = s - (self.s_lo + idx * self.dt)
-        pr = self.params
-        state = _rk4_step(
-            pr.power, pr.linear_coeff, pr.forcing,
-            self.h_nodes[idx], self.hp_nodes[idx], delta,
-        )
-        for row in state:
-            row.setflags(write=False)
-        # One assignment: a thread that reads the memo sees a whole entry.
-        self._memo = (key, state)
-        return state
-
-    def derivative(self, s, order: int):
-        self._check_order(order)
-        h, hp = self._state(s)
-        p = float(self.params.power)
-        c1, c0 = self.params.linear_coeff, self.params.forcing
-        if order == 0:
-            return h
-        if order == 1:
-            return hp
-        sing = c0 * h ** (-p) if c0 != 0.0 else np.zeros_like(h)
-        h2 = sing - c1 * h
-        if order == 2:
-            return h2
-        sing1 = -p * c0 * h ** (-p - 1.0) if c0 != 0.0 else np.zeros_like(h)
-        if order == 3:
-            return hp * (sing1 - c1)
-        sing2 = p * (p + 1.0) * c0 * h ** (-p - 2.0) if c0 != 0.0 else np.zeros_like(h)
-        return sing2 * hp**2 + (sing1 - c1) * h2
+        return self._grid_state(s, self._next_rows, order + 1)[order]
 
 
 def integrate_warping(params: WarpingODEParams) -> WarpingFunction:

@@ -17,13 +17,20 @@ in a least-recently-used memo of _STENCIL_MEMO entries, so the warpings
 and the lapse of one document share them across a request.  An entry for
 q points holds at most 120 q bytes.
 
+Trig, hyperbolic and integrated profiles keep their per-grid state in a
+one-entry memo of their own (`Profile._grid_state`), keyed by the shape
+and raw float64 bytes of the query points: (sin x, cos x) or (sinh x,
+cosh x), 24 bytes a point with the key, so every order on one grid costs
+one pair of transcendental evaluations.  A trig order d is w^d (a_d sin x
++ b_d cos x), its coefficients turned a quarter, (a, b) -> (-b, a), once
+per order; order 0 has the bits of the a sin + b cos form.
+
 All evaluation methods accept scalars or numpy arrays and broadcast.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +69,16 @@ def _within(s, lo: float, hi: float, step: float, message: str, **fields) -> np.
 
 
 class Profile:
-    """Base class: a scalar function with a derivative tower."""
+    """Base class: a scalar function with a derivative tower.
+
+    A leaf profile whose orders share work on one grid keeps that work in
+    a one-entry memo, `_grid_state`: read-only rows for the last query's
+    points, keyed by their shape and raw float64 bytes.
+    """
 
     max_order: int = 0
+    # (key, rows) of the last query; replaced whole, never written into.
+    _grid_memo: tuple = (None, ())
 
     @property
     def approximate(self) -> bool:
@@ -80,6 +94,28 @@ class Profile:
                 f"derivative order {order} not available "
                 f"(max {self.max_order} for {type(self).__name__})"
             )
+
+    def _grid_state(self, s: np.ndarray, grow, size: int) -> tuple:
+        """At least `size` rows of s's per-grid state, from the memo when s holds its points.
+
+        grow(s, rows) returns rows followed by one or more further rows; it
+        starts from () on a new grid.  The rows are made read-only and the
+        entry is replaced in one assignment, so a thread that reads the
+        memo sees a whole entry.  The entry is not a dataclass field, so it
+        leaves a frozen profile's equality, hash and repr alone.
+        """
+        key = (s.shape, s.tobytes())
+        memo_key, rows = self._grid_memo
+        if memo_key != key:
+            rows = ()
+        if len(rows) >= size:
+            return rows
+        while len(rows) < size:
+            rows = grow(s, rows)
+        for row in rows:
+            row.setflags(write=False)
+        object.__setattr__(self, "_grid_memo", (key, rows))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -105,7 +141,9 @@ class PolynomialProfile(Profile):
 class TrigProfile(Profile):
     """a_sin * sin(w s + phase) + a_cos * cos(w s + phase).
 
-    The d-th derivative advances the phase by d * pi/2 and scales by w^d.
+    Keeps (sin x, cos x), x = w s + phase, for its last grid: 24 bytes a
+    point with the key.  The d-th derivative is w^d (a_d sin x + b_d cos x),
+    where each order turns the coefficients a quarter: (a, b) -> (-b, a).
     """
 
     a_sin: float = 0.0
@@ -114,16 +152,26 @@ class TrigProfile(Profile):
     phase: float = 0.0
     max_order: int = field(default=ANALYTIC_ORDER, init=False)
 
+    def _sin_cos(self, s, rows):
+        # + 0.0 turns a -0.0 angle into +0.0, as order 0 of x + d pi/2 did.
+        x = self.omega * s + self.phase + 0.0
+        return np.sin(x), np.cos(x)
+
     def derivative(self, s, order: int):
         self._check_order(order)
-        x = self.omega * np.asarray(s, dtype=float) + self.phase + order * (math.pi / 2)
-        scale = self.omega**order
-        return scale * (self.a_sin * np.sin(x) + self.a_cos * np.cos(x))
+        sin, cos = self._grid_state(np.asarray(s, dtype=float), self._sin_cos, 2)
+        a, b = self.a_sin, self.a_cos
+        for _ in range(order):
+            a, b = -b, a
+        return self.omega**order * (a * sin + b * cos)
 
 
 @dataclass(frozen=True)
 class HyperbolicProfile(Profile):
-    """a_sinh * sinh(w s + phase) + a_cosh * cosh(w s + phase)."""
+    """a_sinh * sinh(w s + phase) + a_cosh * cosh(w s + phase).
+
+    Keeps (sinh x, cosh x) for its last grid, 24 bytes a point with the key.
+    """
 
     a_sinh: float = 0.0
     a_cosh: float = 0.0
@@ -131,13 +179,17 @@ class HyperbolicProfile(Profile):
     phase: float = 0.0
     max_order: int = field(default=ANALYTIC_ORDER, init=False)
 
+    def _sinh_cosh(self, s, rows):
+        x = self.omega * s + self.phase
+        return np.sinh(x), np.cosh(x)
+
     def derivative(self, s, order: int):
         self._check_order(order)
-        x = self.omega * np.asarray(s, dtype=float) + self.phase
+        sinh, cosh = self._grid_state(np.asarray(s, dtype=float), self._sinh_cosh, 2)
         scale = self.omega**order
         if order % 2 == 0:
-            return scale * (self.a_sinh * np.sinh(x) + self.a_cosh * np.cosh(x))
-        return scale * (self.a_sinh * np.cosh(x) + self.a_cosh * np.sinh(x))
+            return scale * (self.a_sinh * sinh + self.a_cosh * cosh)
+        return scale * (self.a_sinh * cosh + self.a_cosh * sinh)
 
 
 def fd_weights(nodes: np.ndarray, x0: float | np.ndarray, max_order: int) -> np.ndarray:

@@ -1035,6 +1035,44 @@ class TestFreshProcess:
         for setting, out in outputs.items():
             assert out == outputs["default"], setting
 
+    @pytest.mark.skipif(
+        platform.system() != "Linux" or platform.machine() != "x86_64",
+        reason="OpenBLAS core types and NumPy CPU features of Linux on x86-64",
+    )
+    @pytest.mark.parametrize("name", [
+        "round_sphere", "example1", "type_ii",
+        pytest.param("type_iii", marks=pytest.mark.xfail(
+            platform.system() == "Linux" and "avx512f" in cpu_flags(), strict=True,
+            reason="NumPy's sinh, cosh and exp round differently without AVX-512",
+        )),
+    ])
+    def test_closed_form_answers_are_the_same_bytes_under_every_kernel(self, tmp_path, name):
+        # np.sin and np.cos have no AVX-512 path, so the trig kinds' bits are
+        # the same on every CPU; the hyperbolic kinds' are not (README).
+        doc = build_entry(name).to_problem_dict()
+        specs = [
+            write_json(tmp_path, doc | {"grid": grid}, f"{name}.{grid}.json")
+            for grid in (1024, 16384)
+        ]
+        report = str(tmp_path / "report.csv")
+        code = f"""
+            import hashlib
+            from staticgeo.cli import main
+            for spec in {specs!r}:
+                for argv in (["verify", spec], ["classify", spec], ["report", spec, {report!r}]):
+                    print(argv[0], main(argv), flush=True)
+                with open({report!r}, "rb") as fh:
+                    print(hashlib.sha256(fh.read()).hexdigest())
+        """
+        unset = {"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+        outputs = {
+            setting: run_fresh(code, **(unset | variables))
+            for setting, variables in numeric_settings().items()
+        }
+        assert outputs["default"].count("verify 0") == 2
+        for setting, out in outputs.items():
+            assert out == outputs["default"], setting
+
     def test_cli_import_loads_no_scipy(self):
         out = run_fresh("""
             import sys

@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from oracle_tools import loop_ode_nodes, loop_orbit_search, loop_state_ok
-from staticgeo import catalog, ode_solver
+from staticgeo import catalog, ode_solver, profiles
 from staticgeo import static_verifier as sv
 from staticgeo.errors import (
     BadRange,
@@ -61,6 +61,7 @@ from staticgeo.ode_solver import (
     lapse_from_warping,
     turning_point,
 )
+from staticgeo.profiles import HyperbolicProfile, TrigProfile
 
 # The n = 5, R = 20, a = 1 single-fiber family at conserved value k = 2 is
 # the standing regression case; the three numbers below were produced by
@@ -899,11 +900,21 @@ class TestDenseOutputTie:
 
 
 # ---------------------------------------------------------------------------
-# The dense-state memo: one RK4 step per query grid
+# The per-grid state: one sin/cos pair, sinh/cosh pair or RK4 step per query grid
 
 
-class TestDenseStateMemo:
-    """An integrated warping keeps the (h, h') of its last query points.
+GRID_STATE_PROFILES = {
+    "trig": lambda: TrigProfile(a_sin=0.7, a_cos=-0.2, omega=1.3, phase=0.4),
+    "hyperbolic": lambda: HyperbolicProfile(a_sinh=0.5, a_cosh=1.1, omega=0.8, phase=-0.3),
+    "ode": lambda: OdeBackedProfile(
+        WarpingODEParams.single_fiber(5, 20.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_STATE_PROFILES))
+class TestGridStateMemo:
+    """A leaf profile keeps the per-grid state of its last query points.
 
     Every read must give the bits a fresh profile gives on its first read,
     whatever was read before it, and the memo must hold only what the
@@ -911,11 +922,11 @@ class TestDenseStateMemo:
     """
 
     @staticmethod
-    def fresh(params, s, order):
-        return OdeBackedProfile(params).derivative(s, order)
+    def fresh(kind, s, order):
+        return GRID_STATE_PROFILES[kind]().derivative(s, order)
 
-    def test_interleaved_reads_match_fresh_profiles(self, fiber_params):
-        prof = OdeBackedProfile(fiber_params)
+    def test_interleaved_reads_match_fresh_profiles(self, kind):
+        prof = GRID_STATE_PROFILES[kind]()
         grid_a = np.linspace(0.05, 0.95, 33)
         grid_b = np.linspace(0.1, 0.9, 17)
         flat = np.linspace(0.2, 0.8, 12)
@@ -923,45 +934,62 @@ class TestDenseStateMemo:
             (grid_a, 3), (grid_b, 0), (grid_a, 1), (np.float64(0.4), 2),
             (flat.reshape(2, 6), 4), (flat, 4), (flat.reshape(2, 6), 0),
             (grid_a, 0), (grid_a, 2), (grid_a, 4), (grid_b, 1), (grid_b, 3),
-            (0.4, 0), (np.float64(0.4), 1), (flat, 2),
+            (0.4, 0), (np.float64(0.4), 1), (flat, 2), (np.array([]), 1),
         ]
         for s, order in reads:
             got = prof.derivative(s, order)
-            want = self.fresh(fiber_params, s, order)
+            want = self.fresh(kind, s, order)
+            assert type(got) is type(want)
             assert np.shape(got) == np.shape(want) == np.shape(s)
-            assert np.array_equal(got, want), (np.shape(s), order)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (np.shape(s), order)
 
-    def test_query_rewritten_in_place_gets_fresh_rows(self, fiber_params):
-        prof = OdeBackedProfile(fiber_params)
+    def test_query_rewritten_in_place_gets_fresh_rows(self, kind):
+        prof = GRID_STATE_PROFILES[kind]()
         s = np.linspace(0.05, 0.95, 33)
         prof.derivative(s, 0)
         s[:] = np.linspace(0.1, 0.9, 33)
         for order in range(5):
-            assert np.array_equal(
-                prof.derivative(s, order), self.fresh(fiber_params, s, order)
-            )
+            assert np.array_equal(prof.derivative(s, order), self.fresh(kind, s, order))
 
-    def test_memo_rows_refuse_writes(self, fiber_params):
-        prof = OdeBackedProfile(fiber_params)
+    def test_memo_rows_refuse_writes(self, kind):
+        prof = GRID_STATE_PROFILES[kind]()
         s = np.linspace(0.05, 0.95, 33)
-        for order in (0, 1):
-            row = prof.derivative(s, order)
+        for order in range(5):
+            prof.derivative(s, order)
+        key, rows = prof._grid_memo
+        assert key == (s.shape, s.tobytes())
+        for row in rows:
+            assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.0
-        assert np.array_equal(prof.derivative(s, 0), self.fresh(fiber_params, s, 0))
+        for order in range(5):
+            assert np.array_equal(prof.derivative(s, order), self.fresh(kind, s, order))
 
-    def test_domain_check_runs_on_every_read(self, fiber_params):
-        prof = OdeBackedProfile(fiber_params)
-        s = np.linspace(0.05, 0.95, 33)
-        prof.derivative(s, 0)
-        s[-1] = 1.5
-        with pytest.raises(OutOfDomain, match="outside the integrated domain"):
-            prof.derivative(s, 0)
+    def test_memo_bytes_per_point(self, kind):
+        # The key and two rows; an integrated warping adds its orders 2-4.
+        prof = GRID_STATE_PROFILES[kind]()
+        s = np.linspace(0.05, 0.95, 1000)
+        for order in range(5):
+            prof.derivative(s, order)
+        key, rows = prof._grid_memo
+        held = len(key[1]) + sum(row.nbytes for row in rows)
+        assert held == (48 if kind == "ode" else 24) * s.size
 
-    def test_threads_reading_different_grids(self, fiber_params):
-        prof = OdeBackedProfile(fiber_params)
+    def test_memo_leaves_equality_and_hash_alone(self, kind):
+        prof, other = GRID_STATE_PROFILES[kind](), GRID_STATE_PROFILES[kind]()
+        prof.derivative(np.linspace(0.05, 0.95, 33), 2)
+        if kind == "ode":
+            assert prof != other  # compared by identity, as before
+        else:
+            assert prof == other and hash(prof) == hash(other)
+            assert repr(prof) == repr(other)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                prof.omega = 2.0
+
+    def test_threads_reading_different_grids(self, kind):
+        prof = GRID_STATE_PROFILES[kind]()
         grids = [np.linspace(0.05, 0.95, 257), np.linspace(0.1, 0.9, 129)]
-        want = [[self.fresh(fiber_params, g, d) for d in range(5)] for g in grids]
+        want = [[self.fresh(kind, g, d) for d in range(5)] for g in grids]
         wrong, done = [], [0, 0]
 
         def work(i):
@@ -985,25 +1013,96 @@ class TestDenseStateMemo:
         assert done == [200, 200]
         assert wrong == []
 
-    @pytest.mark.parametrize("name", ["example3", "example4", "type_iv"])
-    def test_one_dense_step_per_answer(self, monkeypatch, name):
-        # Before the memo: 7 steps per answer, and 14, 14 and 20 for the audits.
-        steps = [0]
-        step = ode_solver._rk4_step
 
-        def counting(*args):
-            steps[0] += 1
-            return step(*args)
+def test_domain_check_runs_on_a_memo_hit():
+    prof = GRID_STATE_PROFILES["ode"]()
+    s = np.linspace(0.05, 0.95, 33)
+    prof.derivative(s, 0)
+    s[-1] = 1.5
+    with pytest.raises(OutOfDomain, match="outside the integrated domain"):
+        prof.derivative(s, 0)
+    with pytest.raises(OutOfDomain, match="outside the integrated domain"):
+        prof.derivative(s[::-1], 3)
 
-        monkeypatch.setattr(ode_solver, "_rk4_step", counting)
-        entry = catalog.build_entry(name)
-        spec, lapse = entry.spec, entry.lapse
-        steps[0] = 0
-        sv.verify_pair(spec, lapse)
-        sv.classify(spec, lapse)
-        assert steps[0] == 1
-        sv.identity_dcw(spec, lapse)
-        sv.identity_db(spec, lapse)
-        if len(spec.blocks) == 2:
-            sv.check_lemma41(spec, lapse)
-        assert steps[0] == 1
+
+class _CountingNumpy:
+    """numpy for `profiles`, logging each sin, cos, sinh and cosh call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("sin", "cos", "sinh", "cosh"):
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "name", ["round_sphere", "type_ii", "type_iii", "example3", "example4", "type_iv"]
+)
+def test_one_tower_per_profile_per_grid(monkeypatch, name):
+    # Before the per-grid state every derivative call evaluated its own sin
+    # and cos (at x + d pi/2), and the equation rows of every order again.
+    entry = catalog.build_entry(name)
+    spec, lapse = entry.spec, entry.lapse
+    counting = _CountingNumpy()
+    monkeypatch.setattr(profiles, "np", counting)
+    grids = {TrigProfile: set(), HyperbolicProfile: set()}
+    for cls, seen in grids.items():
+        read = cls.derivative
+
+        def recorded(self, s, order, read=read, seen=seen):
+            seen.add((id(self), np.asarray(s, dtype=float).tobytes()))
+            return read(self, s, order)
+
+        monkeypatch.setattr(cls, "derivative", recorded)
+    rows = []
+    grow = OdeBackedProfile._next_rows
+
+    def next_rows(self, s, known):
+        rows.append((id(self), s.tobytes(), len(known)))
+        return grow(self, s, known)
+
+    monkeypatch.setattr(OdeBackedProfile, "_next_rows", next_rows)
+    sv.verify_pair(spec, lapse)
+    sv.classify(spec, lapse)
+    trig, hyperbolic = len(grids[TrigProfile]), len(grids[HyperbolicProfile])
+    assert counting.calls.count("sin") == counting.calls.count("cos") == trig
+    assert counting.calls.count("sinh") == counting.calls.count("cosh") == hyperbolic
+    assert len(rows) == len(set(rows))
+    if name in ("round_sphere", "type_ii"):
+        assert trig > 0
+    if name == "type_iii":
+        assert hyperbolic > 0
+    if name in ("example3", "example4", "type_iv"):
+        assert rows and {r[2] for r in rows} >= {0, 2}
+
+
+@pytest.mark.parametrize("name", ["example3", "example4", "type_iv"])
+def test_one_dense_step_per_answer(monkeypatch, name):
+    # Before the memo: 7 steps per answer, and 14, 14 and 20 for the audits.
+    steps = [0]
+    step = ode_solver._rk4_step
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(ode_solver, "_rk4_step", counting)
+    entry = catalog.build_entry(name)
+    spec, lapse = entry.spec, entry.lapse
+    steps[0] = 0
+    sv.verify_pair(spec, lapse)
+    sv.classify(spec, lapse)
+    assert steps[0] == 1
+    sv.identity_dcw(spec, lapse)
+    sv.identity_db(spec, lapse)
+    if len(spec.blocks) == 2:
+        sv.check_lemma41(spec, lapse)
+    assert steps[0] == 1

@@ -101,6 +101,43 @@ class TestAnalyticProfiles:
             expected = 0.8**order * (0.5 * np.cosh(x) + 1.1 * np.sinh(x))
         np.testing.assert_allclose(p.derivative(s, order), expected, rtol=1e-13)
 
+    @staticmethod
+    def closed_form_draws(seed, cases):
+        """(a, b, omega, phase, s): signed zeros, unit and random values, array or scalar s."""
+        rng = np.random.default_rng(seed)
+        pick = [0.0, -0.0, 1.0, -1.0, 0.5]
+        special = np.array([0.0, -0.0, 1.0, -1.0, math.pi, -math.pi / 2, 1e-300, -1e-300])
+        for case in range(cases):
+            a, b, w, phase = (
+                float(rng.choice(pick)) if rng.random() < 0.4 else float(rng.standard_normal())
+                for _ in range(4)
+            )
+            if case % 3 == 0:
+                s = np.asarray(float(rng.choice(special)))
+            else:
+                s = np.concatenate((special, rng.uniform(-4.0, 4.0, 9)))
+            yield a, b, w, phase, s
+
+    def test_trig_order_zero_keeps_the_quarter_turn_bits(self):
+        # Order 0 is a sin(w s + phase + 0 pi/2) + b cos(...) bit for bit, signed
+        # zeros included; orders >= 1 turn (a, b) a quarter instead of the angle.
+        for a, b, w, phase, s in self.closed_form_draws(28, 600):
+            x = w * s + phase + 0 * (math.pi / 2)
+            want = w**0 * (a * np.sin(x) + b * np.cos(x))
+            got = TrigProfile(a, b, w, phase).derivative(s, 0)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, b, w, phase, s)
+
+    def test_hyperbolic_rows_keep_their_bits(self):
+        for a, b, w, phase, s in self.closed_form_draws(29, 300):
+            p = HyperbolicProfile(a, b, w, phase)
+            x = w * s + phase
+            for order in range(5):
+                first, second = (a, b) if order % 2 == 0 else (b, a)
+                want = w**order * (first * np.sinh(x) + second * np.cosh(x))
+                got = p.derivative(s, order)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_order_above_tower_raises(self):
         p = TrigProfile(a_sin=1.0)
         with pytest.raises(DerivativeOrderUnavailable):
