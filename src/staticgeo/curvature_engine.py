@@ -138,9 +138,9 @@ class _Frame:
 
     The constructor builds what an answer reads (h, xi, trace, lam, lam1,
     scal) and m_class, a negation of a sum it needs anyway; p_class,
-    q_class and the A jets are built on first read and kept.  Each jet is
-    cut to the order its reader needs, which moves no bit: row k of a jet
-    product or quotient reads only rows 0..k.
+    q_class, the A jets and cotton_jets are built on first read and kept.
+    Each jet is cut to the order its reader needs, which moves no bit: row
+    k of a jet product or quotient reads only rows 0..k.
     """
 
     def __init__(self, spec: WarpedProductSpec, s, lam_order: int):
@@ -198,17 +198,14 @@ class _Frame:
         return w_base, w_intra, w_cross
 
     @cached_property
-    def _cotton(self):
+    def cotton_jets(self):
         # C_{a1a} = (A_11 - A_aa) xi_a - A_aa'; A_aa' is one jet order shorter.
         return jmul(self.A1[:, None] - self.Ablk, self.xi)[:-1] - jder(self.Ablk)
-
-    def cotton_jets(self):
-        return self._cotton
 
     def bach(self) -> DiagonalTwoTensor:
         """bach_spectrum's values; needs lam_order >= 2 and space-form fibers."""
         nm2, dims, xi0, lam0 = self.n - 2.0, self.dims, self.xi[0], self.lam[0]
-        c = self.cotton_jets()         # jet order 1
+        c = self.cotton_jets           # jet order 1
         w_base, w_intra, w_cross = self.weyl_jets()
 
         # (div C)_11 = -sum_j r_j c_j xi_j ; contraction with Ricci adds
@@ -324,7 +321,7 @@ def weyl_classes(spec: WarpedProductSpec, s) -> RiemannClasses:
 def cotton_classes(spec: WarpedProductSpec, s) -> MixedThreeTensor:
     """C_{a1a} per block (metric-only)."""
     fr = _Frame(spec, s, 1)
-    return MixedThreeTensor(fr.cotton_jets()[0])
+    return MixedThreeTensor(fr.cotton_jets[0])
 
 
 def d_tensor_classes(spec: WarpedProductSpec, f: LapseFunction, s) -> MixedThreeTensor:

@@ -21,12 +21,11 @@ equation residual of the profile is zero by construction.
 
 A warping keeps the rows of its last query in the one-entry memo of
 `Profile._grid_state`, keyed by the shape and the raw float64 bytes of the
-query points: the dense state (h, h') from one dense step, then each of
-orders 2-4 the first time it is read, by the same formulas on every grid.
-Every derivative order on one grid, and the lapse f = c h' that wraps the
-same profile, read those rows, so each is computed once per grid.  The
-memo's rows are read-only; it holds at most 48 q bytes for q points (the
-key and five rows): 768 KB at 16384 points, 12 MB at the grid cap of 2^18.
+query points: (h, h', h'', h''') from one dense step and the equation,
+built once per grid and read-only, 40 q bytes for q points with the key
+(640 KB at 16384 points, 10 MB at the grid cap of 2^18).  Orders 0-3, and
+the lapse f = c h' that wraps the same profile, read them; order 4 is
+computed from them.
 
 Turning points and the orbit's return crossing come from `_bisect`, which
 halves a sign-change bracket until its ends are adjacent floats.
@@ -235,11 +234,11 @@ class OdeBackedProfile(Profile):
     in the domain by one Runge-Kutta step from the node just below the
     query point.  Its rows at the last query points (keyed by their shape
     and float64 bytes) stay in `Profile._grid_state`'s memo: that step's
-    (h, h'), then each order 2-4 the first time it is read, read-only, at
-    most 48 bytes a point with the key.  So the orders of one grid, and
-    the lapse f = c h' on the same profile, compute each row once; the
-    domain check runs on every call.
-    Orders 2 through 4 are read off the equation:
+    (h, h') and the equation's h'' and h''', built together once per grid,
+    read-only, 40 bytes a point with the key.  So orders 0-3 of one grid,
+    and the lapse f = c h' on the same profile, compute each row once;
+    h'''' is computed from the rows on each read, and the domain check
+    runs on every call.  Orders 2 through 4 are read off the equation:
 
         h''   = c0 h^(-p) - c1 h
         h'''  = h' (-p c0 h^(-p-1) - c1)
@@ -267,6 +266,7 @@ class OdeBackedProfile(Profile):
             )
         h, hp = nodes.reshape(-1, 2).T.copy()
         self.params = params
+        self._eq = (float(params.power), params.linear_coeff, params.forcing)
         self.s_lo, self.s_hi = lo, hi
         self.dt = dt
         self.h_nodes = h
@@ -274,27 +274,17 @@ class OdeBackedProfile(Profile):
         h.setflags(write=False)
         hp.setflags(write=False)
 
-    def _next_rows(self, s, rows):
-        """rows (h, h', ...) at s and the next: one dense step, then the equation's rows."""
-        pr = self.params
-        p, c1, c0 = float(pr.power), pr.linear_coeff, pr.forcing
-        if not rows:
-            idx = np.clip(
-                np.floor((s - self.s_lo) / self.dt).astype(int), 0, self.h_nodes.size - 1
-            )
-            delta = s - (self.s_lo + idx * self.dt)
-            return _rk4_step(
-                pr.power, c1, c0, self.h_nodes[idx], self.hp_nodes[idx], delta
-            )
-        h, hp = rows[0], rows[1]
-        if len(rows) == 2:
-            sing = c0 * h ** (-p) if c0 != 0.0 else np.zeros_like(h)
-            return rows + (sing - c1 * h,)
+    def _dense_rows(self, s):
+        """(h, h', h'', h''') at s: one dense step, then the equation's rows 2 and 3."""
+        p, c1, c0 = self._eq
+        idx = np.clip(
+            np.floor((s - self.s_lo) / self.dt).astype(int), 0, self.h_nodes.size - 1
+        )
+        delta = s - (self.s_lo + idx * self.dt)
+        h, hp = _rk4_step(p, c1, c0, self.h_nodes[idx], self.hp_nodes[idx], delta)
+        sing = c0 * h ** (-p) if c0 != 0.0 else np.zeros_like(h)
         sing1 = -p * c0 * h ** (-p - 1.0) if c0 != 0.0 else np.zeros_like(h)
-        if len(rows) == 3:
-            return rows + (hp * (sing1 - c1),)
-        sing2 = p * (p + 1.0) * c0 * h ** (-p - 2.0) if c0 != 0.0 else np.zeros_like(h)
-        return rows + (sing2 * hp**2 + (sing1 - c1) * rows[2],)
+        return h, hp, sing - c1 * h, hp * (sing1 - c1)
 
     def derivative(self, s, order: int):
         self._check_order(order)
@@ -302,7 +292,14 @@ class OdeBackedProfile(Profile):
             s, self.s_lo, self.s_hi, self.dt,
             "evaluation outside the integrated domain [{lo:g}, {hi:g}]",
         )
-        return self._grid_state(s, self._next_rows, order + 1)[order]
+        rows = self._grid_state(s, self._dense_rows)
+        if order < 4:
+            return rows[order]
+        h, hp, hpp = rows[:3]
+        p, c1, c0 = self._eq
+        sing1 = -p * c0 * h ** (-p - 1.0) if c0 != 0.0 else np.zeros_like(h)
+        sing2 = p * (p + 1.0) * c0 * h ** (-p - 2.0) if c0 != 0.0 else np.zeros_like(h)
+        return sing2 * hp**2 + (sing1 - c1) * hpp
 
 
 def integrate_warping(params: WarpingODEParams) -> WarpingFunction:
@@ -384,6 +381,7 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
     produces a trajectory with conserved value exactly k.  "outer" is the
     root above the potential minimum (needs linear_coeff > 0), "inner" the
     barrier root below it; with linear_coeff <= 0 only "inner" exists.
+    A k whose root search overflows a float is refused (BadRange).
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
     k = _finite("k", k)
@@ -393,7 +391,10 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
         raise BadRange(f"branch must be 'inner' or 'outer', got {branch!r}")
 
     def gap(h: float) -> float:
-        return _conserved(p, c1, c0, h, 0.0) - k
+        try:
+            return _conserved(p, c1, c0, h, 0.0) - k
+        except OverflowError:
+            raise BadRange(f"no turning point within float range for k = {k}") from None
 
     if c1 > 0.0:
         h_star = _well(p, c1, c0)

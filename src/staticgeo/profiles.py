@@ -18,12 +18,12 @@ and the lapse of one document share them across a request.  An entry for
 q points holds at most 120 q bytes.
 
 Trig, hyperbolic and integrated profiles keep their per-grid state in a
-one-entry memo of their own (`Profile._grid_state`), keyed by the shape
-and raw float64 bytes of the query points: (sin x, cos x) or (sinh x,
-cosh x), 24 bytes a point with the key, so every order on one grid costs
-one pair of transcendental evaluations.  A trig order d is w^d (a_d sin x
-+ b_d cos x), its coefficients turned a quarter, (a, b) -> (-b, a), once
-per order; order 0 has the bits of the a sin + b cos form.
+one-entry memo of their own (`Profile._grid_state`), built once per grid
+and keyed by the shape and raw float64 bytes of the query points: (sin x,
+cos x) or (sinh x, cosh x), 24 bytes a point with the key, so every order
+on one grid costs one pair of transcendental evaluations.  A trig order d
+is w^d (a_d sin x + b_d cos x), its coefficients turned a quarter, (a, b)
+-> (-b, a), once per order; order 0 has the bits of the a sin + b cos form.
 
 All evaluation methods accept scalars or numpy arrays and broadcast.
 """
@@ -72,8 +72,8 @@ class Profile:
     """Base class: a scalar function with a derivative tower.
 
     A leaf profile whose orders share work on one grid keeps that work in
-    a one-entry memo, `_grid_state`: read-only rows for the last query's
-    points, keyed by their shape and raw float64 bytes.
+    a one-entry memo, `_grid_state`: read-only rows built once for the
+    last query's points, keyed by their shape and raw float64 bytes.
     """
 
     max_order: int = 0
@@ -95,23 +95,18 @@ class Profile:
                 f"(max {self.max_order} for {type(self).__name__})"
             )
 
-    def _grid_state(self, s: np.ndarray, grow, size: int) -> tuple:
-        """At least `size` rows of s's per-grid state, from the memo when s holds its points.
+    def _grid_state(self, s: np.ndarray, build) -> tuple:
+        """build(s)'s rows, from the memo when s holds its points; built once per grid.
 
-        grow(s, rows) returns rows followed by one or more further rows; it
-        starts from () on a new grid.  The rows are made read-only and the
-        entry is replaced in one assignment, so a thread that reads the
-        memo sees a whole entry.  The entry is not a dataclass field, so it
-        leaves a frozen profile's equality, hash and repr alone.
+        The rows are made read-only and the entry is replaced in one
+        assignment, so a thread reading the memo sees a whole entry.  Not
+        a dataclass field, it leaves a frozen profile's eq, hash and repr alone.
         """
         key = (s.shape, s.tobytes())
         memo_key, rows = self._grid_memo
-        if memo_key != key:
-            rows = ()
-        if len(rows) >= size:
+        if memo_key == key:
             return rows
-        while len(rows) < size:
-            rows = grow(s, rows)
+        rows = build(s)
         for row in rows:
             row.setflags(write=False)
         object.__setattr__(self, "_grid_memo", (key, rows))
@@ -152,14 +147,14 @@ class TrigProfile(Profile):
     phase: float = 0.0
     max_order: int = field(default=ANALYTIC_ORDER, init=False)
 
-    def _sin_cos(self, s, rows):
+    def _sin_cos(self, s):
         # + 0.0 turns a -0.0 angle into +0.0, as order 0 of x + d pi/2 did.
         x = self.omega * s + self.phase + 0.0
         return np.sin(x), np.cos(x)
 
     def derivative(self, s, order: int):
         self._check_order(order)
-        sin, cos = self._grid_state(np.asarray(s, dtype=float), self._sin_cos, 2)
+        sin, cos = self._grid_state(np.asarray(s, dtype=float), self._sin_cos)
         a, b = self.a_sin, self.a_cos
         for _ in range(order):
             a, b = -b, a
@@ -179,13 +174,13 @@ class HyperbolicProfile(Profile):
     phase: float = 0.0
     max_order: int = field(default=ANALYTIC_ORDER, init=False)
 
-    def _sinh_cosh(self, s, rows):
+    def _sinh_cosh(self, s):
         x = self.omega * s + self.phase
         return np.sinh(x), np.cosh(x)
 
     def derivative(self, s, order: int):
         self._check_order(order)
-        sinh, cosh = self._grid_state(np.asarray(s, dtype=float), self._sinh_cosh, 2)
+        sinh, cosh = self._grid_state(np.asarray(s, dtype=float), self._sinh_cosh)
         scale = self.omega**order
         if order % 2 == 0:
             return scale * (self.a_sinh * sinh + self.a_cosh * cosh)
@@ -232,8 +227,8 @@ def fd_weights(nodes: np.ndarray, x0: float | np.ndarray, max_order: int) -> np.
 # Stencil widths: 5 points carry orders 1-2, 7 points carry orders 3-4.
 _STENCIL = {0: 5, 1: 5, 2: 5, 3: 7, 4: 7}
 
-# Memo bound: verify_pair and classify read four orders per sample grid, so
-# eight entries hold two grids' worth.
+# Memo bound: verify_pair reads four orders per sample grid (classify reuses
+# its answer and reads no profile), so eight entries hold two grids' worth.
 _STENCIL_MEMO = 8
 
 

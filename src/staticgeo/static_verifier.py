@@ -278,7 +278,7 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     fr = ce._Frame(spec, s, 1)
     w = [j[0] for j in fr.weyl_jets()]
     fj = jet_of(f, s, 1)
-    c, d = fr.cotton_jets()[0], ce._d_jet(spec.n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]
+    c, d = fr.cotton_jets[0], ce._d_jet(spec.n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]
     rows = []
     for g in _chunks(s.size):
         C = ce.materialize_full(ce.MixedThreeTensor(c[:, g]), spec)
@@ -301,7 +301,7 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     s = spec.evaluation_grid()
     n = spec.n
     fr = ce._Frame(spec, s, 2)
-    b, c, xi = fr.bach(), fr.cotton_jets()[0], fr.xi[0]
+    b, c, xi = fr.bach(), fr.cotton_jets[0], fr.xi[0]
     fj = jet_of(f, s, 2)
     d, dp = derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))
     col11, rows = [], []

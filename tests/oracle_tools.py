@@ -552,7 +552,7 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     n = spec.n
     fr = ce._Frame(spec, s, 1)
     fj = jet_of(lapse, s, 1)
-    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets[0]), spec)
     W = loop_materialize_full(ce.RiemannClasses(*(w[0] for w in fr.weyl_jets())), spec)
     D = loop_materialize_full(
         ce.MixedThreeTensor(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]), spec
@@ -563,7 +563,7 @@ def oracle_audits(spec: WarpedProductSpec, lapse: LapseFunction):
     fr = ce._Frame(spec, s, 2)
     fj = jet_of(lapse, s, 2)
     B = loop_materialize_full(fr.bach(), spec)
-    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets()[0]), spec)
+    C = loop_materialize_full(ce.MixedThreeTensor(fr.cotton_jets[0]), spec)
     D, Dp = (
         loop_materialize_full(ce.MixedThreeTensor(row), spec)
         for row in derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))

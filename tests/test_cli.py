@@ -555,6 +555,16 @@ class TestSolveOde:
         assert out == ""
         assert err.startswith("bad input: step") and "more than 1048576" in err
 
+    def test_overflowing_conserved_value_is_bad_input(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["solve-ode", "--power", "4", "--linear-coeff", "1", "--forcing", "1",
+             "--periodic", "--k", "1e308"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input: no turning point") and "k = 1e+308" in err
+
     def test_document_step_with_too_many_steps_is_bad_input(self, tmp_path, capsys):
         doc = build_entry("type_iv").to_problem_dict()
         warping = doc["blocks"][0]["warping"]
@@ -645,6 +655,13 @@ class TestCatalog:
         )
         assert code == 2
         assert "no closed orbit" in err
+
+    @pytest.mark.parametrize("name", ["example3", "example4", "example5", "type_iv"])
+    def test_overflowing_conserved_value_is_refused(self, capsys, name):
+        code, out, err = run(capsys, ["catalog", "build", name, "--set", "k=1e308"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input: no turning point") and "k = 1e+308" in err
 
     def test_fractional_dimension_is_refused(self, tmp_path, capsys):
         target = tmp_path / "x.json"

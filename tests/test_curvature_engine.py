@@ -507,7 +507,7 @@ FRAME_JETS = ("h", "xi", "lam1", "lam", "scal", "m_class", "p_class", "q_class",
 def frame_jets(frame):
     out = {key: getattr(frame, key) for key in FRAME_JETS}
     out.update(zip(("w_base", "w_intra", "w_cross"), frame.weyl_jets()))
-    out["cotton"] = frame.cotton_jets()
+    out["cotton"] = frame.cotton_jets
     return out
 
 
@@ -575,7 +575,7 @@ class TestEngineErrors:
         spec = self.abstract_spec(3)
         s = np.array([0.5])
         frame = ce._Frame(spec, s, 2)
-        frame.cotton_jets()
+        frame.cotton_jets
         with pytest.raises(InsufficientFiberData):
             frame.weyl_jets()
         with pytest.raises(InsufficientFiberData):

@@ -458,6 +458,22 @@ class TestTurningPoint:
         with pytest.raises(BadRange, match="positive"):
             turning_point(params, 0.0, "inner")
 
+    @pytest.mark.parametrize("c1, branch", [(1.0, "outer"), (1.0, "inner"), (-1.0, "inner")])
+    def test_value_overflowing_the_root_search_is_refused(self, c1, branch):
+        # Bracketing the root squares h, or raises it to -(p-1), beyond a float.
+        params = WarpingODEParams(4, c1, 1.0, 1.0, 0.0, (0.0, 1.0))
+        with pytest.raises(BadRange, match=r"k = 1e\+308"):
+            turning_point(params, 1e308, branch)
+
+    def test_periodic_search_refuses_an_overflowing_value(self):
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        with pytest.raises(BadRange, match=r"k = 1e\+308"):
+            find_periodic(params, 1e308)
+
+    def test_largest_values_keep_their_root(self):
+        params = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        assert turning_point(params, 1e300, "outer") == pytest.approx(1e150, rel=1e-15)
+
 
 # ---------------------------------------------------------------------------
 # Step-count bound
@@ -965,15 +981,25 @@ class TestGridStateMemo:
         for order in range(5):
             assert np.array_equal(prof.derivative(s, order), self.fresh(kind, s, order))
 
-    def test_memo_bytes_per_point(self, kind):
-        # The key and two rows; an integrated warping adds its orders 2-4.
+    @pytest.mark.parametrize("orders", [(0,), (4,), (0, 1, 2, 3, 4), (4, 2, 0, 3, 1, 4)])
+    def test_memo_bytes_per_point(self, kind, orders):
+        # The key and two rows; an integrated warping holds four: h to h'''.
         prof = GRID_STATE_PROFILES[kind]()
         s = np.linspace(0.05, 0.95, 1000)
-        for order in range(5):
+        for order in orders:
             prof.derivative(s, order)
         key, rows = prof._grid_memo
         held = len(key[1]) + sum(row.nbytes for row in rows)
-        assert held == (48 if kind == "ode" else 24) * s.size
+        assert held == (40 if kind == "ode" else 24) * s.size
+
+    def test_order_four_keeps_the_memo_entry(self, kind):
+        # Order 4 is computed from the entry's rows and adds none to it.
+        prof = GRID_STATE_PROFILES[kind]()
+        s = np.linspace(0.05, 0.95, 33)
+        prof.derivative(s, 0)
+        entry = prof._grid_memo
+        assert np.array_equal(prof.derivative(s, 4), self.fresh(kind, s, 4))
+        assert prof._grid_memo is entry
 
     def test_memo_leaves_equality_and_hash_alone(self, kind):
         prof, other = GRID_STATE_PROFILES[kind](), GRID_STATE_PROFILES[kind]()
@@ -1053,7 +1079,7 @@ def test_one_tower_per_profile_per_grid(monkeypatch, name):
     spec, lapse = entry.spec, entry.lapse
     counting = _CountingNumpy()
     monkeypatch.setattr(profiles, "np", counting)
-    grids = {TrigProfile: set(), HyperbolicProfile: set()}
+    grids = {TrigProfile: set(), HyperbolicProfile: set(), OdeBackedProfile: set()}
     for cls, seen in grids.items():
         read = cls.derivative
 
@@ -1062,26 +1088,26 @@ def test_one_tower_per_profile_per_grid(monkeypatch, name):
             return read(self, s, order)
 
         monkeypatch.setattr(cls, "derivative", recorded)
-    rows = []
-    grow = OdeBackedProfile._next_rows
+    builds = []
+    build = OdeBackedProfile._dense_rows
 
-    def next_rows(self, s, known):
-        rows.append((id(self), s.tobytes(), len(known)))
-        return grow(self, s, known)
+    def dense_rows(self, s):
+        builds.append((id(self), s.tobytes()))
+        return build(self, s)
 
-    monkeypatch.setattr(OdeBackedProfile, "_next_rows", next_rows)
+    monkeypatch.setattr(OdeBackedProfile, "_dense_rows", dense_rows)
     sv.verify_pair(spec, lapse)
     sv.classify(spec, lapse)
     trig, hyperbolic = len(grids[TrigProfile]), len(grids[HyperbolicProfile])
     assert counting.calls.count("sin") == counting.calls.count("cos") == trig
     assert counting.calls.count("sinh") == counting.calls.count("cosh") == hyperbolic
-    assert len(rows) == len(set(rows))
+    assert sorted(builds) == sorted(grids[OdeBackedProfile])
     if name in ("round_sphere", "type_ii"):
         assert trig > 0
     if name == "type_iii":
         assert hyperbolic > 0
     if name in ("example3", "example4", "type_iv"):
-        assert rows and {r[2] for r in rows} >= {0, 2}
+        assert builds
 
 
 @pytest.mark.parametrize("name", ["example3", "example4", "type_iv"])
