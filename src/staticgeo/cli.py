@@ -143,15 +143,8 @@ def _cmd_solve_ode(args) -> int:
         if sol is None:
             _emit({"periodic": False})
             return 1
-        _emit(
-            {
-                "periodic": True,
-                "period": sol.period,
-                "h_min": sol.h_min,
-                "h_max": sol.h_max,
-                "k": sol.k,
-            }
-        )
+        _emit({"periodic": True, "period": sol.period, "h_min": sol.h_min,
+               "h_max": sol.h_max, "k": sol.k})
         return 0
     try:
         warping = integrate_warping(params)

@@ -11,13 +11,13 @@ which doubles as the curvature constant the fiber must carry for the
 resulting geometry to close up; the catalog builders rely on that.
 
 Integration is classic fixed-step fourth-order Runge-Kutta (default step:
-domain length / 4096).  The node loops of the integration and of the orbit
-search run on Python floats in one kernel, `_rk4_states`.  The returned
-warping evaluates between nodes by one short step of the vectorised
-`_rk4_step`, whose arithmetic the kernel repeats operation for operation,
-from the nearest stored node; all derivatives of order two and higher come
-from the differential equation, never from finite differences, so the
-equation residual of the profile is zero by construction.
+domain length / 4096).  The node loop runs on Python floats in one kernel,
+`_rk4_states`.  The returned warping evaluates between nodes by one short
+step of the vectorised `_rk4_step`, whose arithmetic the kernel repeats
+operation for operation, from the nearest stored node; all derivatives of
+order two and higher come from the differential equation, never from
+finite differences, so the equation residual of the profile is zero by
+construction.
 
 A warping keeps the rows of its last query in the one-entry memo of
 `Profile._grid_state`, keyed by the shape and the raw float64 bytes of the
@@ -27,8 +27,9 @@ built once per grid and read-only, 40 q bytes for q points with the key
 the lapse f = c h' that wraps the same profile, read them; order 4 is
 computed from them.
 
-Turning points and the orbit's return crossing come from `_bisect`, which
-halves a sign-change bracket until its ends are adjacent floats.
+Turning points come from `_bisect`, which halves a sign-change bracket
+until its ends are adjacent floats; a closed orbit's period is a
+quadrature of the conserved quantity (`_period`), not an integration.
 
 Known limitation: the nodes are computed with scalar arithmetic, but
 dense output between them goes through NumPy's vectorised `power`, whose
@@ -68,8 +69,8 @@ DEFAULT_STEPS = 4096
 # zero and nothing geometric survives values this large.
 _H_FLOOR = 1e-10
 _STATE_CEIL = 1e12
-# An orbit closes when it returns to h_max within this relative distance.
-_CLOSURE_TOL = 1e-8
+# Most quadrature nodes for an orbit's period (find_periodic).
+_MAX_NODES = 2**14
 # Most RK4 steps an explicit step may ask for (256 default integrations).
 _MAX_STEPS = 2**20
 
@@ -418,14 +419,44 @@ def turning_point(params: WarpingODEParams, k: float, branch: str = "outer") -> 
     return _bisect(gap, lo, _until_positive(lambda h: -gap(h), 1.0, 2.0))
 
 
+def _period(p: int, c1: float, c0: float, h_min: float, h_max: float, k: float) -> float:
+    """Orbit period: the integral over [0, 2 pi] of dt / sqrt(g(h)), where
+    h = h_min + (h_max - h_min) sin^2(t/2 + pi/4) (= c + d sin t, kept exact at h_min)
+    and g = c1 + 2 c0/(p-1) / (h_min h_max h) * H_{p-2}(1/h_min, 1/h_max, 1/h) is
+    the potential's second divided difference (H_d: complete homogeneous sum, all
+    terms positive).  Trapezoid sums on 16, 32, ... nodes, refused past _MAX_NODES.
+    """
+    x, y = 1.0 / h_min, 1.0 / h_max
+    tail = [sum(x**i * y ** (j - i) for i in range(j + 1)) for j in range(1, p - 1)]
+    scale, span = 2.0 * c0 / (p - 1.0) * x * y, h_max - h_min
+
+    def term(theta: float) -> float:
+        z = acc = 1.0 / (h_min + span * math.sin(0.5 * theta + 0.25 * math.pi) ** 2)
+        for coeff in tail:  # z H_{p-2}(x, y, z) by Horner in z
+            acc = (acc + coeff) * z
+        return 1.0 / math.sqrt(c1 + scale * acc)
+
+    n, width = 16, math.pi / 8.0
+    terms = [term(j * width) for j in range(n)]
+    period = width * math.fsum(terms)
+    while n < _MAX_NODES:
+        terms += [term((j + 0.5) * width) for j in range(n)]
+        n, width, last = 2 * n, 0.5 * width, period
+        period = width * math.fsum(terms)
+        if abs(period - last) <= 1e-15 * period:
+            return period
+    raise BadRange(f"orbit period needs more than {_MAX_NODES} nodes for k = {k}")
+
+
 def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None:
     """Closed orbit with first integral k, or None when none exists.
 
-    Requires a confining potential (linear_coeff > 0 and forcing > 0) and
-    k strictly above the potential minimum; the orbit starts at its
-    maximum (a root of the potential, h' = 0), and the period ends at the
-    return crossing, the first step where h' goes from positive to
-    non-positive, located by one bisection on the dense trajectory.
+    Needs linear_coeff > 0, forcing > 0 (a single well, where every k above
+    the minimum closes) and k above the minimum.  The period is `_period`;
+    the warping is one RK4 build from the maximum (h_max, 0) over one period,
+    at step period/DEFAULT_STEPS unless params.step is set.  BadRange refuses
+    turning points outside (_H_FLOOR, _STATE_CEIL] and a period needing over
+    _MAX_NODES = 2^14 nodes (about 10 ms; p = 2 needs 4096 at 500 k_min).
     """
     p, c1, c0 = params.power, params.linear_coeff, params.forcing
     k = _finite("k", k)
@@ -434,35 +465,9 @@ def find_periodic(params: WarpingODEParams, k: float) -> PeriodicSolution | None
     k_min = _conserved(p, c1, c0, _well(p, c1, c0), 0.0)
     if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
         return None
-
-    h_max = turning_point(params, k, "outer")
-    h_min = turning_point(params, k, "inner")
-
-    # Linearized period sets the step; the search window is generous.
-    t_lin = 2.0 * math.pi / math.sqrt((p + 1.0) * c1)
-    dt = params.step if params.step is not None else t_lin / DEFAULT_STEPS
-    s_budget = 64.0 * t_lin
-    _steps(s_budget, dt)  # refuses a step too small for the search window
-
-    s = 0.0
-    h, hp = h_max, 0.0
-    for h_next, hp_next in _rk4_states(p, c1, c0, h, hp, dt):
-        if hp > 0.0 >= hp_next:
-            # Back at the maximum inside (s, s + dt]; locate the crossing.
-            def hp_at(delta: float) -> float:
-                return _rk4_step(p, c1, c0, h, hp, delta)[1]
-
-            delta = _bisect(hp_at, 0.0, dt)
-            period = s + delta
-            h_close = _rk4_step(p, c1, c0, h, hp, delta)[0]
-            if abs(h_close - h_max) > _CLOSURE_TOL * max(1.0, h_max):
-                return None
-            orbit = WarpingODEParams(
-                p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS
-            )
-            return PeriodicSolution(period, h_min, h_max, float(k), integrate_warping(orbit))
-        s += dt
-        if not s < s_budget:
-            return None
-        h, hp = h_next, hp_next
-    raise BlowUp(f"orbit search left admissible region near s = {s + dt:g}", s)
+    h_max, h_min = turning_point(params, k, "outer"), turning_point(params, k, "inner")
+    if not (h_min > _H_FLOOR and h_max <= _STATE_CEIL):
+        raise BadRange(f"turning points {h_min:g} and {h_max:g} of k = {k} are inadmissible")
+    period = _period(p, c1, c0, h_min, h_max, k)
+    orbit = WarpingODEParams(p, c1, c0, h_max, 0.0, (0.0, period), params.step)
+    return PeriodicSolution(period, h_min, h_max, float(k), integrate_warping(orbit))

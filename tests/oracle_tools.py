@@ -47,12 +47,8 @@ from staticgeo.jets import derivatives_from_jet, jder, jet_of
 from staticgeo.ode_solver import (
     _H_FLOOR,
     _STATE_CEIL,
-    DEFAULT_STEPS,
     WarpingODEParams,
-    _bisect,
-    _conserved,
     _rk4_step,
-    turning_point,
 )
 from staticgeo.profiles import (
     HyperbolicProfile,
@@ -405,48 +401,6 @@ def loop_ode_nodes(params: WarpingODEParams) -> tuple[np.ndarray, np.ndarray, fl
                 lo + i * dt,
             )
     return h, hp, dt
-
-
-@np.errstate(all="ignore")
-def loop_orbit_search(params: WarpingODEParams, k: float, closure_tol: float = 1e-8):
-    """find_periodic's (period, h_min, h_max, orbit params), or None, step by step."""
-    p, c1, c0 = params.power, params.linear_coeff, params.forcing
-    if c1 <= 0.0 or c0 <= 0.0:
-        return None
-    h_star = (c0 / c1) ** (1.0 / (p + 1.0))
-    k_min = _conserved(p, c1, c0, h_star, 0.0)
-    if k - k_min <= 1e-12 * max(1.0, abs(k_min)):
-        return None
-    h_max = turning_point(params, k, "outer")
-    h_min = turning_point(params, k, "inner")
-    t_lin = 2.0 * math.pi / math.sqrt((p + 1.0) * c1)
-    dt = params.step if params.step is not None else t_lin / DEFAULT_STEPS
-    s_budget = 64.0 * t_lin
-    s, h, hp, crossings = 0.0, np.float64(h_max), np.float64(0.0), 0
-    while s < s_budget:
-        h_next, hp_next = _rk4_step(p, c1, c0, h, hp, dt)
-        if not loop_state_ok(c0, h_next, hp_next):
-            raise BlowUp(f"orbit search left admissible region near s = {s + dt:g}", s)
-        if hp_next == 0.0 or (hp < 0.0 < hp_next) or (hp > 0.0 > hp_next):
-            h0, hp0 = float(h), float(hp)
-
-            def hp_at(delta: float) -> float:
-                return _rk4_step(p, c1, c0, h0, hp0, delta)[1]
-
-            delta = dt if hp_next == 0.0 else _bisect(hp_at, 0.0, dt)
-            crossings += 1
-            if crossings == 2:
-                period = s + delta
-                h_close = _rk4_step(p, c1, c0, h0, hp0, delta)[0]
-                if abs(h_close - h_max) > closure_tol * max(1.0, h_max):
-                    return None
-                orbit = WarpingODEParams(
-                    p, c1, c0, h_max, 0.0, (0.0, period), period / DEFAULT_STEPS
-                )
-                return period, h_min, h_max, orbit
-        s += dt
-        h, hp = h_next, hp_next
-    return None
 
 
 # ---------------------------------------------------------------------------

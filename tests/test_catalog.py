@@ -233,7 +233,7 @@ class TestBuiltStructure:
         e = entry_by_name["type_iv"]
         assert e.compact
         # p = 3 with c1 = 1/4 is the isochronous family: period 2 pi.
-        assert e.period == pytest.approx(2.0 * math.pi, abs=1e-9)
+        assert e.period == pytest.approx(2.0 * math.pi, rel=1e-14)
         tag = e.spec.blocks[0].warping.params
         assert tag[:3] == (3.0, 0.25, 1.0)
         # k = 3 makes the turning points roots of h^4/4 - 3 h^2 + 1 = 0.

@@ -565,6 +565,17 @@ class TestSolveOde:
         assert out == ""
         assert err.startswith("bad input: no turning point") and "k = 1e+308" in err
 
+    def test_inadmissible_orbit_is_bad_input(self, capsys):
+        # h_max = 1e150 lies above the state ceiling of an admissible trajectory.
+        code, out, err = run(
+            capsys,
+            ["solve-ode", "--power", "4", "--linear-coeff", "1", "--forcing", "1",
+             "--periodic", "--k", "1e300"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad input: turning points") and "k = 1e+300" in err
+
     def test_document_step_with_too_many_steps_is_bad_input(self, tmp_path, capsys):
         doc = build_entry("type_iv").to_problem_dict()
         warping = doc["blocks"][0]["warping"]
@@ -1087,6 +1098,28 @@ class TestFreshProcess:
             for setting, variables in numeric_settings().items()
         }
         assert outputs["default"].count("verify 0") == 2
+        for setting, out in outputs.items():
+            assert out == outputs["default"], setting
+
+    @pytest.mark.skipif(
+        platform.system() != "Linux" or platform.machine() != "x86_64",
+        reason="OpenBLAS core types and NumPy CPU features of Linux on x86-64",
+    )
+    def test_periodic_orbits_are_the_same_bytes_under_every_kernel(self):
+        # The period is a quadrature on Python floats, so no NumPy kernel
+        # touches it; k = 100 at p = 2 is an eccentric orbit (h_max/h_min ~ 500).
+        code = """
+            from staticgeo.cli import main
+            for power, k in (("4", "2"), ("2", "100")):
+                print(main(["solve-ode", "--power", power, "--linear-coeff", "1",
+                            "--forcing", "1", "--periodic", "--k", k]))
+        """
+        unset = {"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+        outputs = {
+            setting: run_fresh(code, **(unset | variables))
+            for setting, variables in numeric_settings().items()
+        }
+        assert outputs["default"].count('"periodic": true') == 2
         for setting, out in outputs.items():
             assert out == outputs["default"], setting
 

@@ -7,9 +7,14 @@ Independent accuracy oracles used below:
 * the conserved quantity k = h'^2 + 2 c0/(p-1) h^(-(p-1)) + c1 h^2 must
   stay flat along every trajectory;
 * an orbit period equals 2 * integral dh / sqrt(k - V(h)) between the
-  turning points, and the substitution h = h_min + (h_max - h_min)
-  sin(theta)^2 removes both endpoint singularities, so adaptive
-  quadrature of the transformed integrand is trustworthy to ~1e-13;
+  turning points.  k - V(h) = g(h) (h - h_min)(h_max - h), where g is V's
+  second divided difference on h_min, h_max and h (written below as a
+  direct sum, checked against V itself), so h = c + d sin(theta) over
+  [h_min, h_max] leaves the smooth integrand 1/sqrt(g) with no
+  cancellation, and scipy's adaptive quadrature of it is trustworthy to
+  ~1e-15;
+* a Richardson extrapolation of RK4 return times at three explicit steps
+  removes their step error, which gives a second, integrator-based period;
 * p = 3 with c1 > 0 is the isochronous case: every orbit has period
   2 pi / sqrt(4 c1) no matter which k it carries, so the linearized
   period formula is exact there;
@@ -26,13 +31,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from oracle_tools import loop_ode_nodes, loop_orbit_search, loop_state_ok
+from oracle_tools import loop_ode_nodes, loop_state_ok
 from staticgeo import catalog, ode_solver, profiles
 from staticgeo import static_verifier as sv
 from staticgeo.errors import (
@@ -45,6 +51,7 @@ from staticgeo.errors import (
 )
 from staticgeo.ode_solver import (
     _H_FLOOR,
+    _MAX_NODES,
     _STATE_CEIL,
     DEFAULT_STEPS,
     FirstIntegralValue,
@@ -83,19 +90,56 @@ def potential(params, h):
     return 2.0 * c0 / (p - 1.0) * h ** (-(p - 1.0)) + c1 * h * h
 
 
+def divided_difference(params, a, b, h):
+    """V[a, b, h], the sum of c1 and 2 c0/(p-1) a^-(i+1) b^-(j+1) h^-(l+1), i+j+l = p-2."""
+    p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    total = math.fsum(
+        a ** (-i - 1.0) * b ** (-j - 1.0) * h ** (i + j + 1.0 - p)
+        for i in range(p - 1) for j in range(p - 1 - i)
+    )
+    return c1 + 2.0 * c0 / (p - 1.0) * total
+
+
 def quadrature_period(params, k):
-    """Orbit period by singularity-free quadrature between turning points."""
+    """Orbit period by scipy's adaptive quadrature of 1/sqrt(g) in theta."""
     h_min = turning_point(params, k, "inner")
     h_max = turning_point(params, k, "outer")
+    c, d = 0.5 * (h_min + h_max), 0.5 * (h_max - h_min)
 
     def integrand(theta):
-        h = h_min + (h_max - h_min) * math.sin(theta) ** 2
-        q = (k - potential(params, h)) / ((h - h_min) * (h_max - h))
-        return 2.0 / math.sqrt(q)
+        return 1.0 / math.sqrt(divided_difference(params, h_min, h_max, c + d * math.sin(theta)))
 
-    half, err = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
-    assert err < 1e-11
+    half, err = quad(integrand, -math.pi / 2.0, math.pi / 2.0,
+                     epsabs=1e-15, epsrel=1e-13, limit=200)
+    assert err < 1e-12 * half
     return 2.0 * half
+
+
+def trapezoid_period(params, k, nodes):
+    """The trapezoid sum of the same integrand on nodes equally spaced nodes."""
+    h_min = turning_point(params, k, "inner")
+    h_max = turning_point(params, k, "outer")
+    c, d = 0.5 * (h_min + h_max), 0.5 * (h_max - h_min)
+    width = 2.0 * math.pi / nodes
+    return width * math.fsum(
+        1.0 / math.sqrt(divided_difference(params, h_min, h_max, c + d * math.sin(j * width)))
+        for j in range(nodes)
+    )
+
+
+def rk4_period(params, k, steps):
+    """First return of RK4 from (h_max, 0) to h' = 0 at step period/steps."""
+    p, c1, c0 = params.power, params.linear_coeff, params.forcing
+    h_max = turning_point(params, k, "outer")
+    dt = quadrature_period(params, k) / steps
+    profile = OdeBackedProfile(
+        WarpingODEParams(p, c1, c0, h_max, 0.0, (0.0, (steps + 8) * dt), dt)
+    )
+    h, hp = profile.h_nodes, profile.hp_nodes
+    i = int(np.flatnonzero((hp[:-1] > 0.0) & (hp[1:] <= 0.0))[0])
+    delta = brentq(lambda x: _rk4_step(p, c1, c0, h[i], hp[i], x)[1], 0.0, profile.dt,
+                   xtol=1e-16, rtol=1e-15)
+    return i * profile.dt + delta
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +582,7 @@ def potential_brackets(rng, count):
 
 
 def crossing_brackets(rng, count):
-    """Seeded RK4 steps across which h' changes sign, as in find_periodic."""
+    """Seeded RK4 steps across which h' changes sign (brackets for a crossing time)."""
     found = 0
     while found < count:
         p = int(rng.integers(2, 9))
@@ -609,9 +653,7 @@ class TestFindPeriodic:
 
     def test_orbit_against_quadrature(self, fiber_params):
         sol = find_periodic(fiber_params, K_ORBIT)
-        assert sol.period == pytest.approx(
-            quadrature_period(fiber_params, K_ORBIT), abs=1e-10
-        )
+        assert sol.period == pytest.approx(quadrature_period(fiber_params, K_ORBIT), rel=1e-13)
 
     def test_orbit_trajectory(self, fiber_params):
         sol = find_periodic(fiber_params, K_ORBIT)
@@ -635,12 +677,12 @@ class TestFindPeriodic:
         params = WarpingODEParams(3, 0.25, 1.0, 1.0, 0.0, (0.0, 1.0))
         sol = find_periodic(params, k)
         assert sol is not None
-        assert sol.period == pytest.approx(2.0 * math.pi, abs=1e-9)
+        assert sol.period == pytest.approx(2.0 * math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["standing", "example4", "type_iv"])
-    def test_one_crossing_solve_per_orbit(self, monkeypatch, fiber_params, name):
-        # The two turning points take one bisection each, and the return
-        # to h_max one more; the pass through h_min needs none.
+    def test_two_root_solves_per_orbit(self, monkeypatch, fiber_params, name):
+        # The two turning points take one bisection each; the period is a
+        # quadrature and needs none.
         if name == "standing":
             proto, k = fiber_params, K_ORBIT
         else:
@@ -654,7 +696,7 @@ class TestFindPeriodic:
 
         monkeypatch.setattr(ode_solver, "_bisect", counted)
         assert find_periodic(proto, k) is not None
-        assert sorted(solves) == ["find_periodic", "turning_point", "turning_point"]
+        assert solves == ["turning_point", "turning_point"]
 
     @pytest.mark.parametrize("R", [0.0, -20.0])
     def test_none_without_confinement(self, R):
@@ -668,6 +710,133 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("k", [1.0, 5.0 / 3.0])
     def test_none_at_or_below_the_threshold(self, fiber_params, k):
         assert find_periodic(fiber_params, k) is None
+
+    def test_eccentric_orbit_closes(self):
+        # h_max/h_min is about 500 here; an RK4 return search found no
+        # return within 1e-8 of h_max and gave None.
+        params = WarpingODEParams(2, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        sol = find_periodic(params, 100.0)
+        assert sol.h_max / sol.h_min == pytest.approx(500.0, rel=0.01)
+        assert sol.period == pytest.approx(3.1541808508507376, rel=1e-15)
+        assert sol.period == pytest.approx(quadrature_period(params, 100.0), rel=1e-13)
+
+    @pytest.mark.parametrize("p, k", [(4, 1e300), (2, 1e11)], ids=["h_max", "h_min"])
+    def test_inadmissible_turning_points_are_refused(self, p, k):
+        # h_max = 1e150 lies above the state ceiling; h_min = 2e-11 below the floor.
+        params = WarpingODEParams(p, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        with pytest.raises(BadRange) as info:
+            find_periodic(params, k)
+        assert str(info.value).endswith(f"of k = {k} are inadmissible")
+
+    @pytest.mark.parametrize("p, k", [(2, 1e6), (4, 1e22)])
+    def test_too_eccentric_orbit_is_refused_at_once(self, p, k):
+        # h_max/h_min is about 5e8 at p = 2 and 2.5e18 at p = 4, where h_min is
+        # below the float spacing of h_max; the periods need over 2^14 nodes.
+        params = WarpingODEParams(p, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(BadRange) as info:
+            find_periodic(params, k)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"orbit period needs more than {_MAX_NODES} nodes for k = {k}"
+
+    def test_the_next_doubling_agrees(self, monkeypatch, fiber_params):
+        # The sums the quadrature forms, counted through its fsum; the last
+        # two agree, and so do test-side sums on the last count and twice it.
+        counts = []
+
+        def fsum(terms):
+            counts.append(len(terms))
+            return math.fsum(terms)
+
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(ode_solver, "math", types.SimpleNamespace(**(names | {"fsum": fsum})))
+        for params, k in [(fiber_params, K_ORBIT)] + [c.values for c in CENSUS_SAMPLE]:
+            counts.clear()
+            period = find_periodic(params, k).period
+            nodes = counts[-1]
+            assert counts == [16 * 2**j for j in range(len(counts))] and nodes <= 256
+            for n in (nodes, 2 * nodes):
+                assert trapezoid_period(params, k, n) == pytest.approx(period, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Periods of the closed type_iv orbits: every warped-factor orbit over
+# n = 5..10, r = 3..n-2, R in {0.5, 2, 8} and k = k_min + |k_min| (m - 1) with
+# m in {1.05, 2, 8}, 189 in all.  The r = 3, m = 8 ones are the most
+# eccentric (h_max/h_min about 58).
+
+
+def _census() -> list:
+    cases = []
+    for n in range(5, 11):
+        for r in range(3, n - 1):
+            for R in (0.5, 2.0, 8.0):
+                params = WarpingODEParams.warped_factor(n, R, r - 1, 1.0, 1.0, 0.0, (0.0, 1.0))
+                p, c1, c0 = params.power, params.linear_coeff, params.forcing
+                k_min = _conserved(p, c1, c0, (c0 / c1) ** (1.0 / (p + 1.0)), 0.0)
+                for m in (1.05, 2.0, 8.0):
+                    k = k_min + abs(k_min) * (m - 1.0)
+                    cases.append(pytest.param(params, k, id=f"n{n}-r{r}-R{R:g}-m{m:g}"))
+    return cases
+
+
+CENSUS = _census()
+CENSUS_SAMPLE = [c for c in CENSUS if c.id.startswith(tuple(f"n{n}-r3-" for n in range(5, 11)))
+                 and c.id.endswith("-m8")]
+CENSUS_SAMPLE += random.Random(20240612).sample([c for c in CENSUS if c not in CENSUS_SAMPLE], 12)
+
+
+class TestOrbitPeriod:
+    @pytest.mark.parametrize("params, k", CENSUS)
+    def test_census_matches_scipy(self, params, k):
+        sol = find_periodic(params, k)
+        assert sol.period == pytest.approx(quadrature_period(params, k), rel=1e-13)
+
+    @pytest.mark.parametrize("params, k", CENSUS_SAMPLE)
+    def test_matches_richardson_extrapolated_rk4(self, params, k):
+        # RK4 return times at steps T/4096, T/8192 and T/12288 fitted by
+        # T + a dt^4 + b dt^5; the RK4 times alone are up to 2e-10 long.
+        steps = np.array([4096.0, 8192.0, 12288.0])
+        times = [rk4_period(params, k, int(n)) for n in steps]
+        period = find_periodic(params, k).period
+        dt = period / steps
+        fit = np.linalg.solve(np.stack([np.ones(3), dt**4, dt**5], axis=1), times)
+        assert abs(fit[0] - period) < abs(times[0] - period)
+        assert fit[0] == pytest.approx(period, rel=1e-13)
+
+    def test_divided_difference_factors_the_gap(self):
+        # The oracle's integrand: k - V(h) = g(h) (h - h_min)(h_max - h) inside
+        # the well, where the subtraction k - V(h) loses little.
+        rng = random.Random(20240613)
+        for _ in range(200):
+            p = rng.randint(2, 8)
+            params = WarpingODEParams(p, rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0),
+                                      1.0, 0.0, (0.0, 1.0))
+            c1, c0 = params.linear_coeff, params.forcing
+            k = _conserved(p, c1, c0, (c0 / c1) ** (1.0 / (p + 1.0)), 0.0) * rng.uniform(1.1, 50.0)
+            a, b = turning_point(params, k, "inner"), turning_point(params, k, "outer")
+            h = a + (b - a) * rng.uniform(0.25, 0.75)
+            gap = divided_difference(params, a, b, h) * (h - a) * (b - h)
+            assert gap == pytest.approx(k - potential(params, h), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(2, marks=pytest.mark.xfail(
+            raises=BlowUp, strict=True,
+            reason="RK4 at period/4096 steps overshoots h_min above about 420 k_min at p = 2",
+        )),
+        *range(3, 9),
+    ])
+    def test_every_orbit_of_the_well_closes(self, p):
+        # Up to 500 times the well's value every k gives an orbit, whose period
+        # matches scipy's; p = 2 stops at the RK4 build, not at the period.
+        rng = random.Random(20240614 + p)
+        for j in range(12):
+            c1, c0 = rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0)
+            params = WarpingODEParams(p, c1, c0, 1.0, 0.0, (0.0, 1.0))
+            k_min = _conserved(p, c1, c0, (c0 / c1) ** (1.0 / (p + 1.0)), 0.0)
+            k = k_min * (500.0 if j == 0 else rng.uniform(1.0 + 1e-9, 500.0))
+            sol = find_periodic(params, k)
+            assert sol.period == pytest.approx(quadrature_period(params, k), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -807,34 +976,40 @@ class TestFloatKernel:
         profile = entry.spec.blocks[0].warping.profile
         assert_same_nodes(profile, profile.params)
         if entry.compact:
-            period, _, h_max, _ = loop_orbit_search(
-                orbit_proto(name, entry.params), entry.params["k"]
+            proto, k = orbit_proto(name, entry.params), entry.params["k"]
+            assert entry.period == pytest.approx(quadrature_period(proto, k), rel=1e-13)
+            assert profile.params == dataclasses.replace(
+                proto, h0=turning_point(proto, k, "outer"), domain=(0.0, entry.period)
             )
-            assert entry.period == period
-            assert profile.params.h0 == h_max
 
     @pytest.mark.parametrize("name,args", ORBIT_BUILDS)
-    def test_orbit_search_equals_the_oracle(self, name, args):
+    def test_orbit_equals_the_oracle(self, name, args):
+        # The orbit is one build from (h_max, 0) over one period.
         args = catalog.build_entry(name, **args).params
-        proto = orbit_proto(name, args)
-        sol = find_periodic(proto, args["k"])
-        ref = loop_orbit_search(proto, args["k"])
+        proto, k = orbit_proto(name, args), args["k"]
+        sol = find_periodic(proto, k)
         if args["R"] <= 0.0:
-            assert sol is None and ref is None
+            assert sol is None
             return
-        period, h_min, h_max, orbit = ref
-        assert (sol.period, sol.h_min, sol.h_max) == (period, h_min, h_max)
-        assert_same_nodes(sol.warping.profile, orbit)
+        h_min, h_max = turning_point(proto, k, "inner"), turning_point(proto, k, "outer")
+        assert (sol.h_min, sol.h_max) == (h_min, h_max)
+        assert sol.period == pytest.approx(quadrature_period(proto, k), rel=1e-13)
+        p, c1, c0 = proto.power, proto.linear_coeff, proto.forcing
+        assert_same_nodes(
+            sol.warping.profile, WarpingODEParams(p, c1, c0, h_max, 0.0, (0.0, sol.period))
+        )
 
     @pytest.mark.parametrize("step", [None, 0.05, 0.2])
     @pytest.mark.parametrize("k", [1.8, 2.0, 5.0])
-    def test_orbit_search_at_other_steps(self, k, step):
+    def test_orbit_at_other_steps(self, k, step):
+        # An explicit step sets the build's step only; the period is the same.
         proto = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), step)
-        sol, ref = find_periodic(proto, k), loop_orbit_search(proto, k)
-        assert (sol is None) == (ref is None)
-        if sol is not None:
-            assert (sol.period, sol.h_min, sol.h_max) == ref[:3]
-            assert_same_nodes(sol.warping.profile, ref[3])
+        sol = find_periodic(proto, k)
+        assert sol.period == find_periodic(dataclasses.replace(proto, step=None), k).period
+        assert sol.period == pytest.approx(quadrature_period(proto, k), rel=1e-13)
+        orbit = WarpingODEParams(4, 1.0, 1.0, sol.h_max, 0.0, (0.0, sol.period), step)
+        assert_same_nodes(sol.warping.profile, orbit)
+        assert sol.warping.params[5:] == (() if step is None else (step,))
 
     @pytest.mark.parametrize("c1", [4.0, -4.0, 0.0])
     def test_oscillator_nodes_equal_the_oracle(self, c1):
@@ -859,13 +1034,17 @@ class TestFloatKernel:
         got = raised(lambda: OdeBackedProfile(params))
         assert got == raised(lambda: loop_ode_nodes(params))
 
-    def test_orbit_search_blow_up(self):
-        # A step of 0.4 against a linearized period near 2.8 throws the
-        # orbit at k = 50 out of the admissible region on the fourth step.
-        proto = WarpingODEParams(4, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0), 0.4)
-        got = raised(lambda: find_periodic(proto, 50.0))
-        assert got == raised(lambda: loop_orbit_search(proto, 50.0))
-        assert got == ("orbit search left admissible region near s = 1.6", 1.2000000000000002)
+    def test_orbit_build_blow_up(self):
+        # At p = 2 and 500 times the well's value (h_max/h_min about 3e4),
+        # RK4 at period/4096 steps overshoots the inner turning point.
+        proto, k = WarpingODEParams(2, 1.0, 1.0, 1.0, 0.0, (0.0, 1.0)), 1500.0
+        h_min, h_max = turning_point(proto, k, "inner"), turning_point(proto, k, "outer")
+        period = ode_solver._period(2, 1.0, 1.0, h_min, h_max, k)
+        assert period == pytest.approx(quadrature_period(proto, k), rel=1e-13)
+        orbit = WarpingODEParams(2, 1.0, 1.0, h_max, 0.0, (0.0, period))
+        got = raised(lambda: find_periodic(proto, k))
+        assert got == raised(lambda: loop_ode_nodes(orbit))
+        assert got[0].startswith("trajectory left the admissible region")
 
     def test_state_check_equals_the_oracle(self):
         edges = [
