@@ -136,22 +136,21 @@ def _cmd_solve_ode(args) -> int:
         args.power, args.linear_coeff, args.forcing, args.h0, args.h0_prime, args.domain,
         args.step,
     )
+    if args.periodic and args.k is None:
+        raise StaticGeoError("--periodic needs --k")
+    try:
+        sol = find_periodic(params, args.k) if args.periodic else integrate_warping(params)
+    except BlowUp as exc:
+        _emit({"blow_up": True, "last_valid_s": exc.last_valid_s})
+        return 1
     if args.periodic:
-        if args.k is None:
-            raise StaticGeoError("--periodic needs --k")
-        sol = find_periodic(params, args.k)
         if sol is None:
             _emit({"periodic": False})
             return 1
         _emit({"periodic": True, "period": sol.period, "h_min": sol.h_min,
                "h_max": sol.h_max, "k": sol.k})
         return 0
-    try:
-        warping = integrate_warping(params)
-    except BlowUp as exc:
-        _emit({"blow_up": True, "last_valid_s": exc.last_valid_s})
-        return 1
-    h, hp = _rows(warping, np.array(params.domain), (0, 1))
+    h, hp = _rows(sol, np.array(params.domain), (0, 1))
     k = first_integral(params, h, hp).value
     _emit(
         {

@@ -367,11 +367,11 @@ def cotton_from_weyl_divergence(spec: WarpedProductSpec, s) -> MixedThreeTensor:
 # A dense tensor is scattered from its classes through an index table:
 # for every nonzero entry, the class row it copies and whether it is
 # negated.  The values are copies, so no arithmetic happens on the way.
-# The divergences contract through batched matrix products, one small
-# matrix product per grid point, so a point's result does not depend on
-# how many points share the call.  The dense audits in static_verifier
-# rely on that: they feed these functions fixed-size chunks of the grid
-# (peak memory stays bounded however fine the grid is), and identity_dcw
+# The divergences add one elementwise term per nonzero connection entry,
+# in index order, with no BLAS call, so a point's result depends neither on
+# how many points share the call nor on the CPU.  The dense audits in
+# static_verifier rely on that: they feed these functions chunks of the
+# grid (peak memory stays bounded however fine the grid is), and identity_dcw
 # scatters only the first slot of the Weyl tensor, _first_slot below,
 # which has the (a,1,a)/(a,a,1) pattern of the base class.
 # ---------------------------------------------------------------------------
@@ -488,16 +488,9 @@ def _connection(spec: WarpedProductSpec, xi: np.ndarray) -> np.ndarray:
     return _scatter(xi, table, spec.n)
 
 
-def _matrices(x: np.ndarray, order: tuple[int, ...], rows: int) -> np.ndarray:
-    """The frame axes of x, permuted to `order`, folded into a stack of matrices.
-
-    The first `rows` of the permuted axes index matrix rows and the rest
-    columns; the grid axes in front of them stack the matrices.
-    """
-    lead = x.ndim - len(order)
-    n = x.shape[-1]
-    y = x.transpose(tuple(range(lead)) + tuple(lead + o for o in order))
-    return y.reshape(x.shape[:lead] + (n**rows, n ** (len(order) - rows)))
+def _nonzeros(G: np.ndarray):
+    """(m, i, l) of every entry of G nonzero at some grid point, in index order."""
+    return map(tuple, np.argwhere(np.any(G != 0.0, axis=tuple(range(G.ndim - 3)))))
 
 
 def dense_three_tensor_divergence(
@@ -510,14 +503,15 @@ def dense_three_tensor_divergence(
 
         sum_mk (G_mik C_mjk + C_imk G_mjk) + sum_m C_ijm G_mkk,
 
-    each term as one matrix product per grid point.
+    one nonzero G_mil at a time, each adding its terms elementwise.
     """
-    g = _matrices(G, (1, 0, 2), 1)                 # G_mik: rows i, columns (m, k)
     div = C_prime[..., 0].copy()
-    div += g @ np.swapaxes(_matrices(C, (1, 0, 2), 1), -1, -2)
-    div += _matrices(C, (0, 1, 2), 1) @ np.swapaxes(g, -1, -2)
-    trace = np.trace(G, axis1=-2, axis2=-1)[..., None]
-    div += (_matrices(C, (0, 1, 2), 2) @ trace).reshape(C.shape[:-1])
+    for m, i, l in _nonzeros(G):
+        g = G[..., m, i, l, None]
+        div[..., i, :] += g * C[..., m, :, l]
+        div[..., :, i] += g * C[..., :, m, l]
+        if i == l:
+            div += g[..., None] * C[..., m]
     return div
 
 
@@ -530,14 +524,14 @@ def dense_weyl_divergence(
 
         sum_p W_pijk G_pll + sum_lp (G_pil W_lpjk + W_lipk G_pjl + W_lijp G_pkl),
 
-    each as one matrix product per grid point.
+    one nonzero G_pxl at a time, each adding its terms elementwise.
     """
-    shape = W.shape[:-1]
-    trace = np.trace(G, axis1=-2, axis2=-1)[..., None, :]
     div = W_prime[..., 0, :, :, :].copy()
-    div += (trace @ _matrices(W, (0, 1, 2, 3), 1)).reshape(shape)
-    div += (_matrices(G, (1, 2, 0), 1) @ _matrices(W, (0, 1, 2, 3), 2)).reshape(shape)
-    ikj = _matrices(W, (1, 3, 0, 2), 2) @ _matrices(G, (2, 0, 1), 2)
-    div += np.swapaxes(ikj.reshape(shape), -1, -2)
-    div += (_matrices(W, (1, 2, 0, 3), 2) @ _matrices(G, (2, 0, 1), 2)).reshape(shape)
+    for p, x, l in _nonzeros(G):
+        g = G[..., p, x, l, None, None]
+        div[..., x, :, :] += g * W[..., l, p, :, :]
+        div[..., :, x, :] += g * W[..., l, :, p, :]
+        div[..., :, :, x] += g * W[..., l, :, :, p]
+        if x == l:
+            div += g[..., None] * W[..., p, :, :, :]
     return div

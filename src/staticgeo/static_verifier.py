@@ -20,9 +20,11 @@ that one step and keeps no evaluation alive past the answer.  The stored
 report's arrays are read-only.
 
 The frame is built once over the whole grid; identity_dcw and identity_db
-then materialize their dense tensors in fixed-size chunks of grid points
-(_CHUNK_POINTS), so their peak memory does not grow with the grid, and
-the chunk size never changes a result.  identity_dcw needs only the first
+then materialize their dense tensors in chunks of grid points sized so
+that one n^3 tensor takes _CHUNK_BYTES (up to n = 64), so their peak memory
+grows neither with the grid nor with n, and the chunk size never changes a
+result.  The divergence in identity_db adds one term per nonzero of the
+frame connection, 2(n-1) of n^3 entries.  identity_dcw needs only the first
 slot W_1ijk of the Weyl tensor, since the lapse gradient is f' E_1, and
 materializes only that slice (S n^3 values instead of S n^4).
 
@@ -242,14 +244,15 @@ def integrability_residual(spec: WarpedProductSpec) -> ResidualReport:
     return _report(_integrability_channels(spec, d), s)
 
 
-# Grid points per chunk of a dense audit.  Each chunk's dense tensors
-# take S_chunk * n^3 doubles, so an audit's peak memory stops growing with
-# the grid; results do not depend on the chunk size.
-_CHUNK_POINTS = 2048
+# Bytes of one dense n^3 tensor per chunk of a dense audit (about 2048
+# points at n = 5), so an audit's peak memory grows neither with the grid
+# nor, up to n = 64, with n; results do not depend on the chunk size.
+_CHUNK_BYTES = 2 << 20
 
 
-def _chunks(size: int):
-    return (slice(i, i + _CHUNK_POINTS) for i in range(0, size, _CHUNK_POINTS))
+def _chunks(size: int, n: int):
+    step = max(1, _CHUNK_BYTES // (8 * n**3))
+    return (slice(i, i + step) for i in range(0, size, step))
 
 
 def _row_sups(res: np.ndarray) -> np.ndarray:
@@ -280,7 +283,7 @@ def identity_dcw(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     fj = jet_of(f, s, 1)
     c, d = fr.cotton_jets[0], ce._d_jet(spec.n, jder(fj), fr.lam1, fr.lam, fr.scal)[0]
     rows = []
-    for g in _chunks(s.size):
+    for g in _chunks(s.size, spec.n):
         C = ce.materialize_full(ce.MixedThreeTensor(c[:, g]), spec)
         W0 = ce._first_slot(ce.RiemannClasses(*(v[..., g] for v in w)), spec)
         D = ce.materialize_full(ce.MixedThreeTensor(d[:, g]), spec)
@@ -305,7 +308,7 @@ def identity_db(spec: WarpedProductSpec, f: LapseFunction) -> ResidualReport:
     fj = jet_of(f, s, 2)
     d, dp = derivatives_from_jet(ce._d_jet(n, jder(fj), fr.lam1, fr.lam, fr.scal))
     col11, rows = [], []
-    for g in _chunks(s.size):
+    for g in _chunks(s.size, spec.n):
         B = ce.materialize_full(ce.DiagonalTwoTensor(b.value_1[g], b.value_block[:, g]), spec)
         C = ce.materialize_full(ce.MixedThreeTensor(c[:, g]), spec)
         D, Dp = (ce.materialize_full(ce.MixedThreeTensor(r[:, g]), spec) for r in (d, dp))

@@ -489,6 +489,21 @@ class TestSolveOde:
         assert doc["h_min"] < 1.0 < doc["h_max"]
         assert doc["k"] == 2.0
 
+    def test_periodic_blow_up_summary(self, capsys):
+        # The period exists, but the RK4 build of this eccentric orbit blows up
+        # near h_min: reported as plain solve-ode reports a blow-up.
+        code, out, _ = run(
+            capsys,
+            [
+                "solve-ode", "--power", "2", "--linear-coeff", "1",
+                "--forcing", "1", "--periodic", "--k", "1e4",
+            ],
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["blow_up"] is True
+        assert 1.5 < doc["last_valid_s"] < 1.6
+
     def test_no_orbit_below_threshold(self, capsys):
         code, out, _ = run(
             capsys,
@@ -1120,6 +1135,37 @@ class TestFreshProcess:
             for setting, variables in numeric_settings().items()
         }
         assert outputs["default"].count('"periodic": true') == 2
+        for setting, out in outputs.items():
+            assert out == outputs["default"], setting
+
+    @pytest.mark.skipif(
+        platform.system() != "Linux" or platform.machine() != "x86_64",
+        reason="OpenBLAS core types and NumPy CPU features of Linux on x86-64",
+    )
+    def test_dense_audits_are_the_same_bytes_under_every_kernel(self):
+        # The divergences add one term per connection nonzero, with no BLAS
+        # call; type_iii and the ODE entries are left out for their sinh,
+        # cosh and pow bits (README).
+        names = ["round_sphere", "flat", "example1", "example2", "type_ii"]
+        code = f"""
+            import hashlib
+            from dataclasses import replace
+            from staticgeo import curvature_engine as ce
+            from staticgeo.catalog import build_entry
+            from staticgeo.static_verifier import identity_db, identity_dcw
+            for name in {names!r}:
+                e = build_entry(name)
+                spec = replace(e.spec, grid_points=4096)
+                print(name, identity_dcw(spec, e.lapse).to_dict(), identity_db(spec, e.lapse).to_dict())
+                c = ce.cotton_from_weyl_divergence(spec, spec.evaluation_grid()).value_block
+                print(hashlib.sha256(c.tobytes()).hexdigest())
+        """
+        unset = {"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+        outputs = {
+            setting: run_fresh(code, **(unset | variables))
+            for setting, variables in numeric_settings().items()
+        }
+        assert outputs["default"].count("dcw_block[0]") == len(names)
         for setting, out in outputs.items():
             assert out == outputs["default"], setting
 

@@ -920,7 +920,7 @@ class TestDenseAudits:
         e = entry_by_name[name]
         spec = replace(e.spec, grid_points=grid)
         want = [report.to_dict() for report in audits(spec, e.lapse)]
-        monkeypatch.setattr(sv, "_CHUNK_POINTS", chunk)
+        monkeypatch.setattr(sv, "_CHUNK_BYTES", chunk * 8 * spec.n**3)
         row_sups, seen = sv._row_sups, []
         monkeypatch.setattr(sv, "_row_sups", lambda res: seen.append(len(res)) or row_sups(res))
         assert [report.to_dict() for report in audits(spec, e.lapse)] == want
@@ -929,10 +929,15 @@ class TestDenseAudits:
         sizes = [min(chunk, points - i) for i in range(0, points, chunk)]
         assert seen == sizes + sizes
 
+    # A fine grid at the catalog's n, and the round sphere at large n, where
+    # a chunk of a fixed number of points would hold n^3 doubles per point.
     @pytest.mark.parametrize("audit", [identity_dcw, identity_db])
-    def test_memory_stays_bounded_on_a_fine_grid(self, entry_by_name, audit):
-        e = entry_by_name["type_iv"]
-        spec = replace(e.spec, grid_points=16384)
+    @pytest.mark.parametrize("name, overrides, grid", [
+        ("type_iv", {}, 16384), ("round_sphere", {"n": 20}, 1024), ("round_sphere", {"n": 30}, 1024),
+    ], ids=["type_iv", "round_sphere-n20", "round_sphere-n30"])
+    def test_memory_stays_bounded_on_a_fine_grid(self, audit, name, overrides, grid):
+        e = build_entry(name, **overrides)
+        spec = replace(e.spec, grid_points=grid)
         tracemalloc.start()
         try:
             audit(spec, e.lapse)
